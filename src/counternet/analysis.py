@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
-    Config,
     CounterNet,
     Run,
     Transition,
@@ -27,6 +26,7 @@ from .core import (
     enumerate_accepting_runs,
     initial_frontier,
     frontier_accepts,
+    replay,
     step_frontier,
 )
 from . import zoo
@@ -124,16 +124,20 @@ def find_cycles(run: Run, scope: Optional[tuple[int, int]] = None) -> list[Cycle
     if not 0 <= lo <= hi < len(run.configs):
         raise ValueError("scope out of range")
     states = [c.state for c in run.configs]
+    first: dict[str, int] = {}
+    for p in range(lo, hi + 1):
+        first.setdefault(states[p], p)
     out: list[CycleWitness] = []
     for i in range(lo, hi):
+        # a simple cycle from i can only close at the first repeated state
+        seen = {states[i]}
         for j in range(i + 1, hi + 1):
-            if states[i] != states[j]:
-                continue
-            if len(set(states[i:j])) != j - i:
-                continue  # inner repetition, not simple
-            effect = tuple(b - a for a, b in zip(run.configs[i].counters, run.configs[j].counters))
-            anchor = next(p for p in range(lo, hi + 1) if states[p] == states[i])
-            out.append(CycleWitness(i, j, effect, classify_effect(effect), anchor))
+            if states[j] == states[i]:
+                effect = tuple(b - a for a, b in zip(run.configs[i].counters, run.configs[j].counters))
+                out.append(CycleWitness(i, j, effect, classify_effect(effect), first[states[i]]))
+            if states[j] in seen:
+                break
+            seen.add(states[j])
     return out
 
 
@@ -262,22 +266,7 @@ def pump_run(
     new_transitions = run.transitions[:where] + tuple(piece) * copies + run.transitions[where:]
     start = run.configs[0]
     # replay checks state chaining and, for regime N, non-negativity
-    pumped = replay_transitions(start, new_transitions, regime)
-    return pumped
-
-
-def replay_transitions(start: Config, transitions: Sequence[Transition], regime: str = "N") -> Run:
-    state, counters = start.state, start.counters
-    configs = [Config(state, counters)]
-    for t in transitions:
-        if t.source != state:
-            raise ValueError("transition chain broken")
-        counters = tuple(a + e for a, e in zip(counters, t.effect))
-        if regime == "N" and any(x < 0 for x in counters):
-            raise ValueError("pumped run drops a counter below zero")
-        state = t.target
-        configs.append(Config(state, counters))
-    return Run(tuple(configs), tuple(transitions), regime=regime)
+    return replay(start.state, start.counters, new_transitions, regime)
 
 
 # ---------------------------------------------------------------------------

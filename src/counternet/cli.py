@@ -9,8 +9,10 @@ generators are spelled `--box family:args` or via the shorthands
 
 Exit codes: 0 for positive verdicts (accept, equal, no violations),
 1 for negative ones (reject, counterexample, exhausted), 2 for usage or
-input errors.  --exit-zero forces 0 on negative verdicts; --json emits a
-report with stable keys {command, verdict, counterexample, stats}.
+input errors, 3 for internal failures (a cap, recursion or memory limit,
+or broken invariant).  --exit-zero forces 0 on negative verdicts, never
+on 3; --json emits a report with stable keys {command, verdict,
+counterexample, stats}.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import time
 from typing import Optional, Sequence
 
 from . import analysis, constructions, fileformat, vas, zoo
-from .core import CounterNet, Vector, Word, accepts, enumerate_accepting_runs
+from .core import CounterNet, EnumerationCapError, Vector, Word, accepts, enumerate_accepting_runs
 
 
 class CliError(Exception):
@@ -575,6 +577,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, analysis.SweepLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RecursionError, EnumerationCapError, MemoryError, RuntimeError) as exc:
+        # not a verdict: a cap, a resource limit or a broken invariant
+        detail = " ".join(str(exc).split())
+        print(f"error: internal failure: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 3
     stats["wall_seconds"] = round(time.perf_counter() - started, 6)
     if args.seed is not None:
         stats["seed"] = args.seed

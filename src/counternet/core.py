@@ -214,11 +214,11 @@ def is_antichain(vectors: Iterable[Vector]) -> bool:
 
 
 @lru_cache(maxsize=512)
-def _step_table(net: CounterNet) -> dict[tuple[str, str], tuple[tuple[int, Vector, str], ...]]:
-    """(state, letter) -> ((declaration index, effect, target), ...)."""
-    table: dict[tuple[str, str], list[tuple[int, Vector, str]]] = {}
-    for i, t in enumerate(net.transitions):
-        table.setdefault((t.source, t.letter), []).append((i, t.effect, t.target))
+def _step_table(net: CounterNet) -> dict[tuple[str, str], tuple[tuple[Vector, str], ...]]:
+    """(state, letter) -> ((effect, target), ...) in declaration order."""
+    table: dict[tuple[str, str], list[tuple[Vector, str]]] = {}
+    for t in net.transitions:
+        table.setdefault((t.source, t.letter), []).append((t.effect, t.target))
     return {k: tuple(v) for k, v in table.items()}
 
 
@@ -234,7 +234,7 @@ def step_frontier(net: CounterNet, frontier: Frontier, letter: str) -> Frontier:
         moves = table.get((state, letter))
         if not moves:
             continue
-        for _, effect, target in moves:
+        for effect, target in moves:
             bucket = out.setdefault(target, set())
             for v in vectors:
                 w = tuple(a + e for a, e in zip(v, effect))
@@ -287,26 +287,74 @@ def accepts_naive(
     """
     w = tuple(word)
     v0 = _initial_vector(net, initial)
-    budget = [cap]
-
-    def walk(state: str, pos: int, counters: Vector) -> bool:
-        budget[0] -= 1
-        if budget[0] < 0:
+    budget = cap
+    # children go on in reverse declaration order, so nodes come off in
+    # depth-first preorder by ascending transition declaration index
+    stack = [(q, 0, v0) for q in reversed(tuple(net.initial))]
+    backwards = net.transitions[::-1]
+    while stack:
+        state, pos, counters = stack.pop()
+        budget -= 1
+        if budget < 0:
             raise EnumerationCapError(f"more than {cap} enumeration nodes")
         if pos == len(w):
-            return state in net.accepting
+            if state in net.accepting:
+                return True
+            continue
         letter = w[pos]
-        for t in net.transitions:
+        for t in backwards:
             if t.source != state or t.letter != letter:
                 continue
             nxt = tuple(a + e for a, e in zip(counters, t.effect))
             if any(x < 0 for x in nxt):
                 continue
-            if walk(t.target, pos + 1, nxt):
-                return True
-        return False
+            stack.append((t.target, pos + 1, nxt))
+    return False
 
-    return any(walk(q, 0, v0) for q in net.initial)
+
+def walk_paths(
+    net: CounterNet,
+    start_state: str,
+    initial: Sequence[int],
+    word: Optional[Sequence[str]] = None,
+    max_len: int = 0,
+) -> Iterator[tuple[list[Config], list[Transition]]]:
+    """Every N-path from (start_state, initial), depth first by ascending
+    transition declaration index: the paths reading word, or without a
+    word all paths of at most max_len transitions.  Yields the live
+    (configs, transitions) lists at every node, root first; the walk
+    changes them in place, so a caller copies what it keeps."""
+    v0 = tuple(int(x) for x in initial)
+    if any(x < 0 for x in v0):
+        raise ValueError("initial vector must be non-negative")
+    letters = (None,) * max_len if word is None else tuple(word)  # None: any letter
+    table: dict[tuple[str, Optional[str]], list[Transition]] = {}
+    for t in net.transitions:
+        table.setdefault((t.source, None if word is None else t.letter), []).append(t)
+
+    def moves(state: str, depth: int) -> Iterator[Transition]:
+        return iter(table.get((state, letters[depth]), ()) if depth < len(letters) else ())
+
+    configs = [Config(start_state, v0)]
+    transitions: list[Transition] = []
+    stack = [moves(start_state, 0)]  # one iterator of untried moves per node
+    yield configs, transitions
+    while stack:
+        here = configs[-1]
+        for t in stack[-1]:
+            nxt = tuple(a + e for a, e in zip(here.counters, t.effect))
+            if any(x < 0 for x in nxt):
+                continue
+            configs.append(Config(t.target, nxt))
+            transitions.append(t)
+            yield configs, transitions
+            stack.append(moves(t.target, len(transitions)))
+            break
+        else:
+            stack.pop()
+            if transitions:
+                configs.pop()
+                transitions.pop()
 
 
 def enumerate_runs(
@@ -320,42 +368,13 @@ def enumerate_runs(
     """All N-runs on word from (start_state, initial), depth first by
     ascending transition declaration index, up to cap runs."""
     w = tuple(word)
-    v0 = tuple(int(x) for x in initial)
-    if any(x < 0 for x in v0):
-        raise ValueError("initial vector must be non-negative")
-    table = _step_table(net)
-    index_of = {i: t for i, t in enumerate(net.transitions)}
     runs: list[Run] = []
-    truncated = False
-
-    configs: list[Config] = [Config(start_state, v0)]
-    trans: list[Transition] = []
-
-    def walk(pos: int) -> bool:
-        nonlocal truncated
-        if pos == len(w):
-            if not accepting_only or configs[-1].state in net.accepting:
-                if len(runs) >= cap:
-                    truncated = True
-                    return True
-                runs.append(Run(tuple(configs), tuple(trans)))
-            return False
-        here = configs[-1]
-        for idx, effect, target in table.get((here.state, w[pos]), ()):
-            nxt = tuple(a + e for a, e in zip(here.counters, effect))
-            if any(x < 0 for x in nxt):
-                continue
-            configs.append(Config(target, nxt))
-            trans.append(index_of[idx])
-            stop = walk(pos + 1)
-            configs.pop()
-            trans.pop()
-            if stop:
-                return True
-        return False
-
-    walk(0)
-    return RunEnumeration(tuple(runs), truncated)
+    for configs, transitions in walk_paths(net, start_state, initial, word=w):
+        if len(transitions) == len(w) and (not accepting_only or configs[-1].state in net.accepting):
+            if len(runs) >= cap:
+                return RunEnumeration(tuple(runs), True)
+            runs.append(Run(tuple(configs), tuple(transitions)))
+    return RunEnumeration(tuple(runs), False)
 
 
 def enumerate_accepting_runs(
@@ -382,7 +401,6 @@ def enumerate_accepting_runs(
 
 
 def replay(
-    net: CounterNet,
     start_state: str,
     initial: Sequence[int],
     transitions: Sequence[Transition],

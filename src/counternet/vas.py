@@ -28,6 +28,7 @@ from .core import (
     accepts,
     is_deterministic,
     validate,
+    walk_paths,
 )
 
 VAS_STATE = "u"
@@ -318,41 +319,16 @@ class PipelineReport:
 def _language_by_paths(net: CounterNet, max_len: int) -> set[Word]:
     """Accepted words of a deterministic distinctly-labelled net, where
     words correspond to transition paths."""
-    out: set[Word] = set()
     start = next(iter(net.initial))
-    zeros = (0,) * net.dimension
-
-    def walk(state: str, counters: Vector, word: tuple[str, ...]) -> None:
-        if state in net.accepting:
-            out.add(word)
-        if len(word) == max_len:
-            return
-        for t in net.transitions:
-            if t.source != state:
-                continue
-            nxt = tuple(c + e for c, e in zip(counters, t.effect))
-            if any(x < 0 for x in nxt):
-                continue
-            walk(t.target, nxt, word + (t.letter,))
-
-    walk(start, zeros, ())
-    return out
+    return {tuple(t.letter for t in path)
+            for configs, path in walk_paths(net, start, (0,) * net.dimension, max_len=max_len)
+            if configs[-1].state in net.accepting}
 
 
 def _flat_language(result: VasResult, max_len: int) -> set[Word]:
-    out: set[Word] = set()
-
-    def walk(val: Vector, word: tuple[str, ...]) -> None:
-        out.add(word)  # single accepting state, every reachable word counts
-        if len(word) == max_len:
-            return
-        for t in result.net.transitions:
-            nxt = tuple(v + e for v, e in zip(val, t.effect))
-            if all(x >= 0 for x in nxt):
-                walk(nxt, word + (t.letter,))
-
-    walk(result.initial, ())
-    return out
+    # single accepting state, every reachable word counts
+    return {tuple(t.letter for t in path)
+            for _, path in walk_paths(result.net, VAS_STATE, result.initial, max_len=max_len)}
 
 
 def verify_pipeline(

@@ -15,6 +15,7 @@ from counternet.analysis import (
     SIGN_NONNEGATIVE,
     SIGN_POSITIVE,
     BadSegmentWitness,
+    CycleWitness,
     PumpableCycle,
     SearchCaps,
     SweepLimitError,
@@ -35,13 +36,12 @@ from counternet.analysis import (
     pump_period,
     pump_run,
     refute_partition_decomposition,
-    replay_transitions,
     segment_spans,
     segmented_box,
     selector_box,
     triple_box,
 )
-from counternet.core import Config, CounterNet, Run, Transition, accepts, validate
+from counternet.core import CounterNet, Run, Transition, accepts, replay, validate
 from counternet.zoo import (
     SEGMENT_ALPHABET,
     SegmentedWord,
@@ -61,7 +61,7 @@ def make_run(start_state, start_counters, steps, regime="N"):
     for letter, effect, target in steps:
         trans.append(Transition(state, letter, effect, target))
         state = target
-    return replay_transitions(Config(start_state, tuple(start_counters)), tuple(trans), regime)
+    return replay(start_state, start_counters, trans, regime)
 
 
 # --- bounds -----------------------------------------------------------------
@@ -130,6 +130,42 @@ def test_find_cycles_skips_non_simple():
     # q s q s q: the (0, 2) loop repeats q internally, only unit loops count
     run = make_run("q", (0,), [("s", (1,), "q"), ("s", (1,), "q")])
     assert {(c.start, c.end) for c in find_cycles(run)} == {(0, 1), (1, 2)}
+
+
+def _cycles_by_definition(run, lo, hi):
+    """Reference for find_cycles, cubic in the scope: every i < j with
+    states[i] == states[j] and states[i:j] pairwise distinct, anchored at
+    the first index of the state in the scope."""
+    states = [c.state for c in run.configs]
+    out = []
+    for i in range(lo, hi):
+        for j in range(i + 1, hi + 1):
+            if states[i] != states[j] or len(set(states[i:j])) != j - i:
+                continue
+            effect = tuple(b - a for a, b in zip(run.configs[i].counters, run.configs[j].counters))
+            anchor = next(p for p in range(lo, hi + 1) if states[p] == states[i])
+            out.append(CycleWitness(i, j, effect, classify_effect(effect), anchor))
+    return out
+
+
+def test_find_cycles_matches_definition_on_random_unary_runs():
+    rng = random.Random(2307)
+    for _ in range(60):
+        net = random_unary_1cn(rng, max_states=4)
+        # a random walk through the net; counters may dip, which cycle
+        # discovery does not look at
+        state, trail = sorted(net.initial)[0], []
+        for _ in range(rng.randint(0, 40)):
+            t = rng.choice([t for t in net.transitions if t.source == state])
+            trail.append(t)
+            state = t.target
+        run = replay(sorted(net.initial)[0], (rng.randint(0, 4),), trail, regime="Z")
+        last = len(run.configs) - 1
+        assert find_cycles(run) == _cycles_by_definition(run, 0, last)
+        for _ in range(5):
+            lo = rng.randint(0, last)
+            hi = rng.randint(lo, last)
+            assert find_cycles(run, (lo, hi)) == _cycles_by_definition(run, lo, hi)
 
 
 # --- extracting pumpable cycles ----------------------------------------------

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from counternet import cli
 from counternet.cli import main, render_word_text
+from counternet.core import EnumerationCapError
 from counternet.fileformat import parse_machine_file
 
 GE_FILE = """
@@ -365,6 +367,14 @@ def test_pump_factorial_block(capsys):
     assert rep["counterexample"] == "a^12 # b^3"
 
 
+def test_pump_long_segment(capsys):
+    rc, rep, _ = run_json(capsys, "pump", "zoo:coarse.b", "--word", "a^3000 # b^3",
+                          "--segment", "1", "--sign", "pos")
+    assert rc == 0
+    assert rep["verdict"] == "pumped"
+    assert rep["counterexample"] == "a^3001 # b^3"
+
+
 def test_pump_rejected_word(capsys):
     rc, rep, _ = run_json(capsys, "pump", "zoo:coarse.b", "--word", "b^2")
     assert rc == 1
@@ -419,3 +429,18 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "counter nets" in out
+
+
+@pytest.mark.parametrize("exc_class", [RecursionError, EnumerationCapError, MemoryError,
+                                       RuntimeError])
+@pytest.mark.parametrize("flags", [(), ("--exit-zero",)])
+def test_internal_failures_exit_three(monkeypatch, capsys, exc_class, flags):
+    def broken(args):
+        raise exc_class("first line\nsecond line")
+    monkeypatch.setattr(cli, "_cmd_check", broken)
+    rc, out, err = run(capsys, *flags, "check", "zoo:P", "--word", "#")
+    assert rc == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: internal failure: {exc_class.__name__}: first line")
+    assert "Traceback" not in err

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -25,7 +26,12 @@ from counternet.core import (
     step_frontier,
     validate,
 )
-from counternet.zoo import build_paired_dcn, build_partition_net, build_selector_ncn
+from counternet.zoo import (
+    build_coarse_factors,
+    build_paired_dcn,
+    build_partition_net,
+    build_selector_ncn,
+)
 
 from randnets import random_cn
 
@@ -121,7 +127,7 @@ def test_max_positive_update_ignores_negatives():
 
 def test_run_effect_via_replay():
     net = validate(small_net())
-    run = replay(net, "p", (0,), net.transitions)
+    run = replay("p", (0,), net.transitions)
     assert run_effect(run) == (1,)
     assert run.word() == ("x",)
 
@@ -235,6 +241,18 @@ def test_naive_cap_raises():
     ))
     with pytest.raises(EnumerationCapError):
         accepts_naive(net, ("x",) * 30, cap=100)
+    # x^5 visits 1 + 2 + 4 + 8 + 16 + 32 = 63 nodes
+    with pytest.raises(EnumerationCapError):
+        accepts_naive(net, ("x",) * 5, cap=62)
+    assert accepts_naive(net, ("x",) * 5, cap=63) is False
+
+
+def test_long_word_does_not_hit_the_recursion_limit():
+    coarse_b, _ = build_coarse_factors()
+    w = ("a",) * 5000 + ("#",) + ("b",) * 3
+    assert accepts_naive(coarse_b, w)
+    enum = enumerate_accepting_runs(coarse_b, w, cap=2)
+    assert len(enum.runs) == 1
 
 
 @settings(max_examples=150)
@@ -288,6 +306,39 @@ def test_enumerate_runs_respects_declaration_order():
     assert [r.configs[-1].state for r in enum.runs] == ["q", "r"]
 
 
+def _runs_by_brute_force(net, w, start, v0, accepting_only):
+    """Every transition sequence reading w, lexicographic by declaration
+    index, kept when it chains from start without a negative counter."""
+    runs = []
+    choices = [[t for t in net.transitions if t.letter == a] for a in w]
+    for seq in itertools.product(*choices):
+        try:
+            run = replay(start, v0, seq)
+        except ValueError:
+            continue
+        if not accepting_only or run.configs[-1].state in net.accepting:
+            runs.append(run)
+    return runs
+
+
+def test_enumerate_runs_matches_brute_force_on_random_nets():
+    rng = random.Random(2307)
+    for _ in range(300):
+        dim = rng.randint(0, 2)
+        net = random_cn(rng, dim=dim, max_states=3)
+        w = tuple(rng.choice(("x", "y")) for _ in range(rng.randint(0, 5)))
+        start = rng.choice(net.states)
+        v0 = tuple(rng.randint(0, 2) for _ in range(dim))
+        for accepting_only in (True, False):
+            expected = _runs_by_brute_force(net, w, start, v0, accepting_only)
+            full = enumerate_runs(net, w, start, v0, accepting_only=accepting_only)
+            assert list(full.runs) == expected
+            assert not full.truncated
+            cut = enumerate_runs(net, w, start, v0, accepting_only=accepting_only, cap=2)
+            assert list(cut.runs) == expected[:2]
+            assert cut.truncated == (len(expected) > 2)
+
+
 def test_replay_golden_routed_run():
     p = build_partition_net()
     # the accepted split of the golden member: 15 a's pay the b block,
@@ -302,7 +353,7 @@ def test_replay_golden_routed_run():
     trail += [by[("bank1", "#", "hub")]]
     trail += [by[("hub", "b", "drain_b")]] + [by[("drain_b", "b", "drain_b")]] * 14
     trail += [by[("drain_b", "c", "drain_c")]] + [by[("drain_c", "c", "drain_c")]] * 29
-    run = replay(p, "hub", (0, 0), trail)
+    run = replay("hub", (0, 0), trail)
     assert is_valid_n_run(p, run, (0, 0))
     assert run.configs[-1].state == "drain_c"
     assert run.configs[-1].counters == (0, 0)
@@ -311,14 +362,14 @@ def test_replay_golden_routed_run():
 def test_replay_negative_dip_raises_in_n_regime():
     net = validate(small_net(transitions=(Transition("p", "x", (-1,), "q"),)))
     with pytest.raises(ValueError):
-        replay(net, "p", (0,), net.transitions)
-    z = replay(net, "p", (0,), net.transitions, regime="Z")
+        replay("p", (0,), net.transitions)
+    z = replay("p", (0,), net.transitions, regime="Z")
     assert z.configs[-1].counters == (-1,)
 
 
 def test_is_valid_n_run_rejects_foreign_transition():
     net = validate(small_net())
     other = Transition("p", "x", (2,), "q")
-    run = replay(net, "p", (0,), net.transitions)
+    run = replay("p", (0,), net.transitions)
     fake = run.__class__(run.configs, (other,))
     assert not is_valid_n_run(net, fake, (0,))

@@ -1,10 +1,14 @@
 import dataclasses
+import random
 
 import pytest
 
+from counternet.analysis import all_words
 from counternet.core import CounterNet, Transition, accepts, validate
 from counternet.vas import (
     VAS_STATE,
+    _flat_language,
+    _language_by_paths,
     check_gating,
     classify_control,
     distinct_label,
@@ -16,6 +20,8 @@ from counternet.vas import (
     verify_pipeline,
 )
 from counternet.zoo import build_paired_dcn, build_partition_net, build_selector_ncn
+
+from randnets import random_dcn
 
 
 def single_step_net():
@@ -100,7 +106,6 @@ def test_vasify_single_transition():
 
 
 def test_vasify_flat_language_is_one_protocol():
-    from counternet.vas import _flat_language
     result = vasify(single_step_net())
     words = _flat_language(result, 4)
     assert words == {
@@ -109,6 +114,21 @@ def test_vasify_flat_language_is_one_protocol():
         ("x_1", "x_2"),
         ("x_1", "x_2", "x_3"),
     }
+
+
+def test_path_languages_match_membership_on_random_nets():
+    # the labelled net is deterministic and distinctly labelled, the flat
+    # net has one accepting state: in both, words and paths correspond
+    rng = random.Random(2307)
+    for _ in range(40):
+        labels = distinct_label(random_dcn(rng, dim=rng.randint(0, 2), max_states=2))
+        result = vasify(labels.net)
+        lab = {item.word for item in all_words(labels.net.alphabet, 4)
+               if accepts(labels.net, item.word)}
+        assert _language_by_paths(labels.net, 4) == lab
+        flat = {item.word for item in all_words(result.net.alphabet, 3)
+                if accepts(result.net, item.word, initial=result.initial)}
+        assert _flat_language(result, 3) == flat
 
 
 def test_vasify_protocol_walks_the_patterns():
