@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
@@ -30,6 +30,7 @@ from .core import (
     step_frontier,
 )
 from . import zoo
+from .constructions import product_all
 from .zoo import (
     PairedBlockWord,
     PartitionKWord,
@@ -497,6 +498,8 @@ class AllWords:
 
 
 def all_words(alphabet: Iterable[str], max_len: int) -> AllWords:
+    if max_len < 0:
+        raise ValueError(f"word length bound must be >= 0, got {max_len}")
     return AllWords(tuple(sorted(set(alphabet))), max_len)
 
 
@@ -620,7 +623,9 @@ class PartitionKBox:
                     yield GenItem(render_partition_k(self.k, pw), pw)
 
 
-Side = Union[CounterNet, Callable]
+# A side of a comparison: a net, a callable oracle, or a sequence of nets
+# standing for the intersection of their languages (empty: every word).
+Side = Union[CounterNet, Callable, Sequence[CounterNet]]
 
 
 @dataclass(frozen=True)
@@ -638,9 +643,9 @@ class ComparisonReport:
 def _side_accepts(side: Side, item: GenItem) -> bool:
     if isinstance(side, CounterNet):
         return accepts(side, item.word)
-    if item.params is not None:
-        return bool(side(item.params))
-    return bool(side(item.word))
+    if callable(side):
+        return bool(side(item.word if item.params is None else item.params))
+    return all(accepts(net, item.word) for net in side)
 
 
 def bounded_compare(
@@ -651,15 +656,18 @@ def bounded_compare(
 ) -> ComparisonReport:
     """Compare two membership deciders over a finite word generator.
 
-    Each side is a net (decided on the rendered word) or a callable
-    (called with the generator's parameter object when present, else the
-    word).  When both sides are nets and the generator is AllWords the
-    sweep runs as a joint frontier walk instead of word enumeration, which
-    covers the same words exactly.  Counterexamples are re-verified before
-    being reported.
+    Each side is a net (decided on the rendered word), a callable (called
+    with the generator's parameter object when present, else the word),
+    or a sequence of nets (the intersection of their languages; an empty
+    sequence accepts every word).  When the generator is AllWords and
+    neither side is a callable or empty, the sweep runs as a joint
+    frontier walk, with a sequence replaced by its product, which covers
+    the same words exactly.  Counterexamples are re-verified before being
+    reported.
     """
-    if isinstance(generator, AllWords) and isinstance(left, CounterNet) and isinstance(right, CounterNet):
-        return compare_nets_walk(left, right, generator.max_len)
+    if isinstance(generator, AllWords) and not any(callable(s) or not s for s in (left, right)):
+        a, b = (s if isinstance(s, CounterNet) else product_all(s) for s in (left, right))
+        return compare_nets_walk(a, b, generator.max_len)
     sized = getattr(generator, "size", None)
     if sized is not None and sized() > hard_cap:
         raise SweepLimitError(f"generator holds {sized()} words, cap is {hard_cap}")
@@ -688,6 +696,8 @@ def compare_nets_walk(a: CounterNet, b: CounterNet, max_len: int, node_cap: int 
     Two prefixes with the same frontier pair behave identically ever
     after, so each pair is expanded once, from its shortest prefix.
     """
+    if max_len < 0:
+        raise ValueError(f"word length bound must be >= 0, got {max_len}")
     if a.alphabet != b.alphabet:
         raise ValueError("comparison requires a common alphabet")
     letters = sorted(a.alphabet)
@@ -737,21 +747,7 @@ def check_decomposition(
     every factor accepts a word the target rejects.  An empty factor list
     denotes the universal language.
     """
-    if isinstance(generator, AllWords) and isinstance(target, CounterNet) and factors:
-        from .constructions import product_all
-        return compare_nets_walk(target, product_all(list(factors)), generator.max_len)
-    sized = getattr(generator, "size", None)
-    if sized is not None and sized() > hard_cap:
-        raise SweepLimitError(f"generator holds {sized()} words, cap is {hard_cap}")
-    checked = 0
-    for item in generator:
-        checked += 1
-        t = _side_accepts(target, item)
-        c = all(accepts(f, item.word) for f in factors)
-        if t != c:
-            return ComparisonReport("left-only" if t else "right-only",
-                                    item.word, item.params, checked)
-    return ComparisonReport("equal", None, None, checked)
+    return bounded_compare(target, tuple(factors), generator, hard_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -812,14 +808,12 @@ def refute_partition_decomposition(
 
 
 def _refute_enumerate(factors: Sequence[CounterNet], k: int, box: int) -> RefuterResult:
-    checked = 0
-    for item in segmented_box(k + 1, box):
-        checked += 1
-        sw = item.params
-        side = _verify_counterexample(factors, sw)
-        if side is not None:
-            return RefuterResult("counterexample", item.word, sw, side, {"checked": checked})
-    return RefuterResult("exhausted", None, None, None, {"checked": checked})
+    rep = check_decomposition(partition_oracle, factors, segmented_box(k + 1, box), hard_cap=math.inf)
+    stats = {"checked": rep.checked}
+    if rep.verdict == "equal":
+        return RefuterResult("exhausted", None, None, None, stats)
+    side = "target-only" if rep.verdict == "left-only" else "intersection-only"
+    return RefuterResult("counterexample", rep.counterexample, rep.params, side, stats)
 
 
 def _refute_guided(factors: Sequence[CounterNet], k: int, caps: SearchCaps) -> RefuterResult:

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Machines are referenced as `path.cn` (single-machine file), `path.cn:name`,
-or `zoo:<entry>` for the built-in families: zoo:P, zoo:fig1.main,
-zoo:fig1.b1, zoo:fig1.b2, zoo:fig1.product, zoo:Lk.dcn, zoo:Lk.ncn,
-zoo:Hk, zoo:PkConj (with --k), zoo:coarse.b, zoo:coarse.c.  Word
-generators are spelled `--box family:args` or via the shorthands
+or `zoo:<family>[.<member>]` for a family of `zoo.FAMILIES` (<families>).
+A bare family name means its first member.  A family whose name holds k
+takes --k or an inline number, which wins (zoo:L3.dcn, zoo:H2,
+zoo:P2kConj); zoo:fig1.product is the product of fig1.b1 and fig1.b2.
+Word generators are spelled `--box family:args` or via the shorthands
 --max-len and --segmented-box.
 
 Exit codes: 0 for positive verdicts (accept, equal, no violations),
@@ -18,6 +19,7 @@ counterexample, stats}.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -27,6 +29,9 @@ from typing import Optional, Sequence
 from . import analysis, constructions, fileformat, vas, zoo
 from .core import CounterNet, EnumerationCapError, Vector, Word, accepts, enumerate_accepting_runs
 
+__doc__ = (__doc__ or "").replace("<families>", ", ".join(zoo.FAMILIES))
+_K_HELP = "parameter for zoo:" + "/".join(f for f in zoo.FAMILIES if "k" in f) + " references"
+
 
 class CliError(Exception):
     """Usage or input problem; maps to exit code 2."""
@@ -35,47 +40,30 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 # machine references
 
-def _zoo_entry(token: str, k: Optional[int]) -> CounterNet:
-    def need_k(default: Optional[int] = None) -> int:
-        if k is not None:
-            return k
-        if default is not None:
-            return default
-        raise CliError(f"zoo:{token} needs --k")
+def _build_family(family: str, k: Optional[int], ref: str) -> dict[str, CounterNet]:
+    if "k" in family and k is None:
+        raise CliError(f"{ref} needs --k")
+    return zoo.FAMILIES[family](k)
 
-    m = re.fullmatch(r"L(\d*)k?\.(dcn|ncn)", token)
-    if m:
-        kk = int(m.group(1)) if m.group(1) else need_k()
-        return zoo.build_selector_dcn(kk) if m.group(2) == "dcn" else zoo.build_selector_ncn(kk)
-    m = re.fullmatch(r"H(\d*)k?", token)
-    if m:
-        return zoo.build_paired_dcn(int(m.group(1)) if m.group(1) else need_k())
-    m = re.fullmatch(r"P(\d*)kConj|PkConj", token)
-    if token == "PkConj" or (m and m.group(1)):
-        kk = int(m.group(1)) if m and m.group(1) else need_k()
-        return zoo.build_partition_k(kk)
-    if token == "P":
-        return zoo.build_partition_net()
-    if token.startswith("fig1"):
-        main, b1, b2 = zoo.build_shared_budget()
-        sub = token[len("fig1"):]
-        if sub in ("", ".main"):
-            return main
-        if sub == ".b1":
-            return b1
-        if sub == ".b2":
-            return b2
-        if sub == ".product":
-            return constructions.product(b1, b2)
-        raise CliError(f"unknown fig1 member {sub!r}")
-    if token.startswith("coarse"):
-        cb, cc = zoo.build_coarse_factors()
-        if token == "coarse.b":
-            return cb
-        if token == "coarse.c":
-            return cc
-        raise CliError("coarse members are coarse.b and coarse.c")
-    raise CliError(f"unknown zoo entry {token!r}")
+
+def _zoo_entry(token: str, k: Optional[int]) -> CounterNet:
+    if token == "fig1.product":
+        # not a member: constructions imports zoo, and `zoo fig1` lists three nets
+        fig1 = zoo.FAMILIES["fig1"](k)
+        return constructions.product(fig1["b1"], fig1["b2"])
+    name, _, member = token.partition(".")
+    parts = re.split(r"(\d+)", name, maxsplit=1)
+    if name not in zoo.FAMILIES and len(parts) == 3:
+        # an inline parameter beats --k: L3 and L3k both mean Lk with k = 3
+        name, k = parts[0] + "k" + parts[2].removeprefix("k"), int(parts[1])
+    if name not in zoo.FAMILIES:
+        raise CliError(f"unknown zoo entry {token!r}")
+    members = _build_family(name, k, f"zoo:{token}")
+    if not member:
+        return next(iter(members.values()))
+    if member not in members:
+        raise CliError(f"zoo:{name} members are " + ", ".join(f"{name}.{m}" for m in members))
+    return members[member]
 
 
 def _resolve(ref: str, k: Optional[int]) -> CounterNet:
@@ -165,20 +153,17 @@ def _generator_for(args, nets: Sequence[CounterNet]):
                          args.box is not None) if x]
     if len(picks) != 1:
         raise CliError("choose exactly one of --max-len, --segmented-box, --box")
-    if args.max_len is not None:
-        alphabets = {n.alphabet for n in nets}
-        if len(alphabets) != 1:
-            raise CliError("--max-len needs machines over a common alphabet")
-        return analysis.all_words(nets[0].alphabet, args.max_len)
     if args.segmented_box is not None:
         return analysis.segmented_box(3, args.segmented_box)
-    box = _parse_box(args.box)
-    if isinstance(box, tuple):  # ("words", L)
-        alphabets = {n.alphabet for n in nets}
-        if len(alphabets) != 1:
-            raise CliError("--box words needs machines over a common alphabet")
-        return analysis.all_words(nets[0].alphabet, box[1])
-    return box
+    if args.max_len is not None:
+        box, flag = ("words", args.max_len), "--max-len"
+    else:
+        box, flag = _parse_box(args.box), "--box words"
+    if not isinstance(box, tuple):
+        return box
+    if len({n.alphabet for n in nets}) != 1:
+        raise CliError(f"{flag} needs machines over a common alphabet")
+    return analysis.all_words(nets[0].alphabet, box[1])
 
 
 def _parse_initial(text: Optional[str], dim: int) -> Optional[Vector]:
@@ -193,6 +178,10 @@ def _parse_initial(text: Optional[str], dim: int) -> Optional[Vector]:
     return vec
 
 
+def _pair(args) -> tuple[CounterNet, CounterNet]:
+    return _resolve(args.left, args.k), _resolve(args.right, args.k)
+
+
 def _emit_nets(nets: list[CounterNet], out: Optional[str], extra_comment: str = "") -> str:
     text = fileformat.emit_machine_file(nets)
     if extra_comment:
@@ -202,6 +191,11 @@ def _emit_nets(nets: list[CounterNet], out: Optional[str], extra_comment: str = 
             fh.write(text)
         return f"wrote {out}"
     return text
+
+
+def _emit_built(net: CounterNet, out: Optional[str]) -> tuple[str, Optional[Word], dict, str]:
+    """Result of a command that builds one net: the emitted net and its size."""
+    return "ok", None, {"states": len(net.states), "dimension": net.dimension}, _emit_nets([net], out)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +222,7 @@ def _comparison_text(report: analysis.ComparisonReport) -> str:
 
 
 def _cmd_eq(args) -> tuple[str, Optional[Word], dict, str]:
-    a = _resolve(args.left, args.k)
-    b = _resolve(args.right, args.k)
+    a, b = _pair(args)
     gen = _generator_for(args, [a, b])
     report = analysis.bounded_compare(a, b, gen)
     stats = {"left": args.left, "right": args.right, "checked": report.checked}
@@ -238,21 +231,15 @@ def _cmd_eq(args) -> tuple[str, Optional[Word], dict, str]:
 
 
 def _cmd_product(args) -> tuple[str, Optional[Word], dict, str]:
-    net = constructions.product(_resolve(args.left, args.k), _resolve(args.right, args.k))
-    text = _emit_nets([net], args.out)
-    return "ok", None, {"states": len(net.states), "dimension": net.dimension}, text
+    return _emit_built(constructions.product(*_pair(args)), args.out)
 
 
 def _cmd_project(args) -> tuple[str, Optional[Word], dict, str]:
-    net = constructions.project(_resolve(args.machine, args.k), args.counter)
-    text = _emit_nets([net], args.out)
-    return "ok", None, {"states": len(net.states), "dimension": net.dimension}, text
+    return _emit_built(constructions.project(_resolve(args.machine, args.k), args.counter), args.out)
 
 
 def _cmd_union(args) -> tuple[str, Optional[Word], dict, str]:
-    net = constructions.union(_resolve(args.left, args.k), _resolve(args.right, args.k))
-    text = _emit_nets([net], args.out)
-    return "ok", None, {"states": len(net.states), "dimension": net.dimension}, text
+    return _emit_built(constructions.union(*_pair(args)), args.out)
 
 
 def _cmd_lift(args) -> tuple[str, Optional[Word], dict, str]:
@@ -262,9 +249,7 @@ def _cmd_lift(args) -> tuple[str, Optional[Word], dict, str]:
             placement = tuple(int(x) for x in args.placement.split(","))
         except ValueError:
             raise CliError("--placement must be comma-separated coordinates")
-    net = constructions.lift(_resolve(args.machine, args.k), args.dim, placement)
-    text = _emit_nets([net], args.out)
-    return "ok", None, {"states": len(net.states), "dimension": net.dimension}, text
+    return _emit_built(constructions.lift(_resolve(args.machine, args.k), args.dim, placement), args.out)
 
 
 def _cmd_vasify(args) -> tuple[str, Optional[Word], dict, str]:
@@ -279,7 +264,7 @@ def _cmd_vasify(args) -> tuple[str, Optional[Word], dict, str]:
     verdict = "ok"
     lines = [text]
     if args.report:
-        report = vas.verify_pipeline(net, max_len=args.max_len or 6)
+        report = vas.verify_pipeline(net, max_len=args.max_len)
         stats.update({
             "labelled_matches": report.labelled_matches,
             "containment_ok": report.containment_ok,
@@ -299,29 +284,13 @@ def _cmd_vasify(args) -> tuple[str, Optional[Word], dict, str]:
 
 
 def _cmd_reduce(args) -> tuple[str, Optional[Word], dict, str]:
-    net = constructions.build_reduction(_resolve(args.left, args.k),
-                                        _resolve(args.right, args.k))
-    text = _emit_nets([net], args.out)
-    return "ok", None, {"states": len(net.states), "dimension": net.dimension}, text
-
-
-_ZOO_EMIT = {
-    "P": lambda k: [zoo.build_partition_net()],
-    "fig1": lambda k: list(zoo.build_shared_budget()),
-    "Lk": lambda k: [zoo.build_selector_dcn(k), zoo.build_selector_ncn(k)],
-    "Hk": lambda k: [zoo.build_paired_dcn(k)],
-    "PkConj": lambda k: [zoo.build_partition_k(k)],
-    "coarse": lambda k: list(zoo.build_coarse_factors()),
-}
+    return _emit_built(constructions.build_reduction(*_pair(args)), args.out)
 
 
 def _cmd_zoo(args) -> tuple[str, Optional[Word], dict, str]:
-    if args.family not in _ZOO_EMIT:
+    if args.family not in zoo.FAMILIES:
         raise CliError(f"unknown zoo family {args.family!r}")
-    needs_k = args.family in ("Lk", "Hk", "PkConj")
-    if needs_k and args.k is None:
-        raise CliError(f"zoo {args.family} needs --k")
-    nets = _ZOO_EMIT[args.family](args.k)
+    nets = list(_build_family(args.family, args.k, f"zoo {args.family}").values())
     stats = {"family": args.family, "k": args.k,
              "machines": [n.name for n in nets]}
     if args.emit or args.out:
@@ -351,18 +320,9 @@ def _cmd_decompose_check(args) -> tuple[str, Optional[Word], dict, str]:
 
 
 def _caps_from(args) -> analysis.SearchCaps:
-    kwargs = {}
-    if args.max_multiple is not None:
-        kwargs["max_multiple"] = args.max_multiple
-    if args.run_cap is not None:
-        kwargs["run_cap"] = args.run_cap
-    if args.coefficient_cap is not None:
-        kwargs["coefficient_cap"] = args.coefficient_cap
-    if args.horizon is not None:
-        kwargs["horizon"] = args.horizon
-    if args.n_cap is not None:
-        kwargs["n_cap"] = args.n_cap
-    return analysis.SearchCaps(**kwargs)
+    # the refute-p flags are spelled like the SearchCaps fields; unset ones keep the defaults
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(analysis.SearchCaps)}
+    return analysis.SearchCaps(**{name: v for name, v in values.items() if v is not None})
 
 
 def _cmd_refute_p(args) -> tuple[str, Optional[Word], dict, str]:
@@ -433,8 +393,7 @@ _NEGATIVE = {"reject", "left-only", "right-only", "counterexample", "exhausted",
 def _add_k(p: argparse.ArgumentParser) -> None:
     # also accepted after the subcommand; SUPPRESS keeps a value given
     # before it from being clobbered by a default
-    p.add_argument("--k", type=int, default=argparse.SUPPRESS,
-                   help="parameter for zoo:Lk/Hk/PkConj references")
+    p.add_argument("--k", type=int, default=argparse.SUPPRESS, help=_K_HELP)
 
 
 def _add_box_flags(p: argparse.ArgumentParser) -> None:
@@ -456,8 +415,7 @@ def _parser() -> argparse.ArgumentParser:
                      help="seed echoed into reports for reproducibility")
     top.add_argument("--exit-zero", action="store_true",
                      help="exit 0 even on negative verdicts")
-    top.add_argument("--k", type=int, default=None,
-                     help="parameter for zoo:Lk/Hk/PkConj references")
+    top.add_argument("--k", type=int, default=None, help=_K_HELP)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="decide membership of one word")
@@ -503,8 +461,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", default=None)
     p.add_argument("--report", action="store_true",
                    help="run the full pipeline verification")
-    p.add_argument("--max-len", type=int, default=None,
-                   help="word length bound for the pipeline report")
+    p.add_argument("--max-len", type=int, default=6,
+                   help="word length bound for the pipeline report (default 6)")
     _add_k(p)
     p.set_defaults(handler=_cmd_vasify)
 
@@ -516,7 +474,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_reduce)
 
     p = sub.add_parser("zoo", help="built-in machine families")
-    p.add_argument("family", help="P | fig1 | Lk | Hk | PkConj | coarse")
+    p.add_argument("family", help=" | ".join(zoo.FAMILIES))
     p.add_argument("--emit", action="store_true", help="print machine file")
     p.add_argument("-o", "--out", default=None)
     _add_k(p)

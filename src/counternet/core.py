@@ -11,9 +11,9 @@ counters can only enable more behaviour, so dominated vectors are dropped.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Word = tuple[str, ...]
 Vector = tuple[int, ...]
@@ -289,8 +289,9 @@ def accepts_naive(
     v0 = _initial_vector(net, initial)
     budget = cap
     # children go on in reverse declaration order, so nodes come off in
-    # depth-first preorder by ascending transition declaration index
-    stack = [(q, 0, v0) for q in reversed(tuple(net.initial))]
+    # depth-first preorder by ascending declaration index: initial states
+    # as in net.states, then transitions
+    stack = [(q, 0, v0) for q in reversed(net.states) if q in net.initial]
     backwards = net.transitions[::-1]
     while stack:
         state, pos, counters = stack.pop()

@@ -30,6 +30,7 @@ from .core import (
     validate,
     walk_paths,
 )
+from .analysis import all_words
 
 VAS_STATE = "u"
 
@@ -348,12 +349,14 @@ def verify_pipeline(
     gating: pattern and enabled-letter discipline over the reachable
     valuations.
     """
+    if max_len < 0:
+        raise ValueError(f"word length bound must be >= 0, got {max_len}")
     labels = distinct_label(net)
     result = vasify(labels.net)
 
     lab_words = _language_by_paths(labels.net, max_len)
     orig_words = {w for w in map(labels.unlabel, lab_words)}
-    direct = {w for w in _all_accepted(net, max_len)}
+    direct = {item.word for item in all_words(net.alphabet, max_len) if accepts(net, item.word)}
     # unlabelling must be injective here: one accepted path per word
     labelled_matches = orig_words == direct and len(lab_words) == len(orig_words)
 
@@ -392,11 +395,3 @@ def verify_pipeline(
         },
     )
 
-
-def _all_accepted(net: CounterNet, max_len: int):
-    from itertools import product as iproduct
-    letters = sorted(net.alphabet)
-    for length in range(max_len + 1):
-        for combo in iproduct(letters, repeat=length):
-            if accepts(net, combo):
-                yield combo

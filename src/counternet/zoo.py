@@ -14,7 +14,7 @@ over bounded parameter boxes.  The word shapes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import CounterNet, Transition, Word, validate
 
@@ -449,3 +449,19 @@ def build_partition_k(k: int) -> CounterNet:
         accepting=accepting,
         transitions=tuple(ts),
     ))
+
+
+# ---------------------------------------------------------------------------
+# the family table
+
+# Each family builds its members, in order, from the parameter k; only a
+# family whose name holds "k" reads it.  The first member is the family's
+# default.
+FAMILIES: dict[str, Callable[[Optional[int]], dict[str, CounterNet]]] = {
+    "P": lambda k: {"main": build_partition_net()},
+    "fig1": lambda k: dict(zip(("main", "b1", "b2"), build_shared_budget())),
+    "Lk": lambda k: {"dcn": build_selector_dcn(k), "ncn": build_selector_ncn(k)},
+    "Hk": lambda k: {"main": build_paired_dcn(k)},
+    "PkConj": lambda k: {"main": build_partition_k(k)},
+    "coarse": lambda k: dict(zip(("b", "c"), build_coarse_factors())),
+}

@@ -550,6 +550,23 @@ def test_walk_requires_common_alphabet():
         compare_nets_walk(p, other, 3)
 
 
+def test_negative_length_bounds_are_rejected():
+    p = build_partition_net()
+    with pytest.raises(ValueError):
+        all_words(SEGMENT_ALPHABET, -1)
+    with pytest.raises(ValueError):
+        compare_nets_walk(p, p, -1)
+
+
+def test_sequence_sides_compare_as_intersections():
+    main, bb, bc = build_shared_budget()
+    for gen in (all_words(SEGMENT_ALPHABET, 5), triple_box(3)):
+        assert bounded_compare((bb, bc), main, gen).verdict == "equal"
+    # the empty sequence accepts every word
+    rep = bounded_compare(main, (), triple_box(3))
+    assert (rep.verdict, rep.counterexample, rep.checked) == ("right-only", ("#", "#", "c"), 2)
+
+
 def test_walk_node_cap_exhausts():
     p = build_partition_net()
     cb, cc = build_coarse_factors()
@@ -605,6 +622,31 @@ def test_decomposition_oracle_target():
     rep = check_decomposition(partition_oracle, [cb, cc], segmented_box(3, 2))
     assert rep.verdict == "right-only"
     assert rep.counterexample == ("a", "#", "b", "c")
+    assert rep.checked == 29
+
+
+def brute_first_decomposition_mismatch(target, factors, max_len):
+    checked = 0
+    for n in range(max_len + 1):
+        for w in cartesian(sorted(target.alphabet), repeat=n):
+            checked += 1
+            t, c = accepts(target, w), all(accepts(f, w) for f in factors)
+            if t != c:
+                return ("left-only" if t else "right-only", w, checked)
+    return ("equal", None, checked)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_decomposition_agrees_with_brute_force(seed):
+    rng = random.Random(seed)
+    target, f1, f2 = (random_cn(rng, dim=1) for _ in range(3))
+    verdict, word, checked = brute_first_decomposition_mismatch(target, [f1, f2], 4)
+    words = all_words(LETTERS, 4)
+    walked = check_decomposition(target, [f1, f2], words)
+    assert (walked.verdict, walked.counterexample) == (verdict, word)
+    swept = check_decomposition(target, [f1, f2], list(words))
+    assert (swept.verdict, swept.counterexample, swept.checked) == (verdict, word, checked)
 
 
 def test_decomposition_hard_cap():
@@ -637,8 +679,20 @@ def test_refuter_enumerate_finds_smallest_counterexample():
     assert res.side == "intersection-only"
     assert res.word == ("a", "#", "b", "c")
     assert res.params == SegmentedWord((1,), 1, 1)
+    assert res.stats == {"checked": 37}
     assert accepts(cb, res.word) and accepts(cc, res.word)
     assert not partition_oracle(res.params)
+
+
+def test_refuter_enumerate_reports_target_only_words():
+    # a factor with an empty language misses the partition language's
+    # first word, the empty one
+    dead = validate(CounterNet(
+        name="dead", dimension=1, alphabet=SEGMENT_ALPHABET, states=("q",),
+        initial=("q",), accepting=(), transitions=()))
+    res = refute_partition_decomposition([dead], strategy="enumerate")
+    assert (res.verdict, res.word, res.side, res.stats) == \
+        ("counterexample", (), "target-only", {"checked": 1})
 
 
 def test_refuter_enumerate_exhausts_on_trivial_box():

@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from counternet import cli
+from counternet import cli, zoo
 from counternet.cli import main, render_word_text
 from counternet.core import EnumerationCapError
 from counternet.fileformat import parse_machine_file
@@ -91,6 +92,9 @@ def test_check_unknown_zoo_entry(capsys):
     rc, _, err = run(capsys, "check", "zoo:nope", "--word", "a")
     assert rc == 2
     assert "zoo" in err
+    rc, _, err = run(capsys, "check", "zoo:coarse.x", "--word", "a")
+    assert rc == 2
+    assert "coarse.b, coarse.c" in err
 
 
 def test_check_missing_file(capsys):
@@ -149,6 +153,19 @@ def test_eq_bad_box_argument(capsys):
     assert rc == 2
     rc, _, err = run(capsys, "eq", "zoo:P", "zoo:P", "--box", "triple:x")
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("eq", "zoo:fig1.b1", "zoo:fig1.b2", "--max-len", "-1"),
+    ("eq", "zoo:fig1.b1", "zoo:fig1.b2", "--box", "words:-2"),
+    ("decompose-check", "zoo:P", "zoo:coarse.b", "--max-len", "-1"),
+    ("vasify", "zoo:Hk", "--k", "1", "--report", "--max-len", "-1"),
+])
+def test_negative_word_length_is_a_usage_error(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "must be >= 0" in err
 
 
 # --- construction commands round-trip through files ----------------------------------
@@ -227,6 +244,14 @@ def test_vasify_report_clean(capsys):
     assert rep["stats"]["gating_ok"] is True
 
 
+def test_vasify_report_honours_max_len(capsys):
+    # the report's bound defaults to 6; 0 leaves only the empty word
+    _, rep, _ = run_json(capsys, "vasify", "zoo:Hk", "--k", "1", "--report")
+    assert rep["stats"]["labelled_words"] == 16
+    _, rep, _ = run_json(capsys, "vasify", "zoo:Hk", "--k", "1", "--report", "--max-len", "0")
+    assert rep["stats"]["labelled_words"] == 1
+
+
 def test_vasify_rejects_nondeterministic(capsys):
     rc, _, err = run(capsys, "vasify", "zoo:P")
     assert rc == 2
@@ -297,6 +322,36 @@ def test_zoo_entry_spellings(capsys):
     rc, rep, _ = run_json(capsys, "eq", "zoo:P2kConj", "zoo:PkConj", "--k", "2",
                           "--segmented-box", "2")
     assert rc == 0
+
+
+# the machine each README spelling names, with --k 2
+README_SPELLINGS = {
+    "P": "partition", "fig1": "budget", "fig1.main": "budget",
+    "fig1.b1": "budget_b", "fig1.b2": "budget_c",
+    "fig1.product": "product(budget_b,budget_c)",
+    "Lk.dcn": "selector_dcn_2", "Lk.ncn": "selector_ncn_2",
+    "L3.dcn": "selector_dcn_3", "L3k.dcn": "selector_dcn_3", "L3.ncn": "selector_ncn_3",
+    "Hk": "paired_dcn_2", "H2": "paired_dcn_2",
+    "PkConj": "partition_2", "P2kConj": "partition_2",
+    "coarse.b": "coarse_b", "coarse.c": "coarse_c",
+}
+
+
+def test_zoo_spellings_name_their_machines():
+    assert {s: cli._zoo_entry(s, 2).name for s in README_SPELLINGS} == README_SPELLINGS
+
+
+def test_readme_lists_the_zoo_table():
+    entries = []
+    for family, build in zoo.FAMILIES.items():
+        members = build(1)
+        spellings = [family] if len(members) == 1 else [f"{family}.{m}" for m in members]
+        entries += spellings
+        assert [cli._zoo_entry(s, 1) for s in spellings] == list(members.values())
+        # a bare family name means the first member
+        assert cli._zoo_entry(family, 1) == next(iter(members.values()))
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    assert "Zoo entries: " + ", ".join(f"`{e}`" for e in entries) + "," in readme
 
 
 # --- decompose-check ----------------------------------------------------------------------

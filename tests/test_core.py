@@ -247,6 +247,22 @@ def test_naive_cap_raises():
     assert accepts_naive(net, ("x",) * 5, cap=63) is False
 
 
+@pytest.mark.parametrize("states", [("q", "p"), ("p", "q")])
+def test_naive_starts_from_initial_states_in_declaration_order(states):
+    # from q, x^4 is accepted after 5 nodes; from p, the doubling tree of
+    # two self loops spends the cap first, whatever the hash seed
+    net = validate(CounterNet(
+        "two_starts", 1, frozenset({"x"}), states, frozenset({"p", "q"}), frozenset({"q"}),
+        (Transition("p", "x", (0,), "p"), Transition("p", "x", (1,), "p"),
+         Transition("q", "x", (0,), "q")),
+    ))
+    if states[0] == "q":
+        assert accepts_naive(net, ("x",) * 4, cap=10) is True
+    else:
+        with pytest.raises(EnumerationCapError):
+            accepts_naive(net, ("x",) * 4, cap=10)
+
+
 def test_long_word_does_not_hit_the_recursion_limit():
     coarse_b, _ = build_coarse_factors()
     w = ("a",) * 5000 + ("#",) + ("b",) * 3

@@ -259,3 +259,5 @@ def test_pipeline_on_plain_automaton():
     assert rep.containment_ok
     assert rep.gating_ok
     assert rep.stats["gating_complete"] in (True, False)
+    with pytest.raises(ValueError):
+        verify_pipeline(toggle, max_len=-1)
