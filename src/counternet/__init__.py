@@ -20,6 +20,7 @@ from .core import (
     is_deterministic,
     is_valid_n_run,
     max_positive_update,
+    prefix_acceptor,
     replay,
     run_effect,
     step_frontier,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
@@ -26,6 +27,7 @@ from .core import (
     enumerate_accepting_runs,
     initial_frontier,
     frontier_accepts,
+    prefix_acceptor,
     replay,
     step_frontier,
 )
@@ -497,6 +499,12 @@ class AllWords:
                 yield GenItem(combo)
 
 
+def _nonnegative(**bounds: int) -> None:
+    for name, value in bounds.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def all_words(alphabet: Iterable[str], max_len: int) -> AllWords:
     if max_len < 0:
         raise ValueError(f"word length bound must be >= 0, got {max_len}")
@@ -534,8 +542,10 @@ class SegmentedBox:
 
 
 def segmented_box(t_max: int, seg_max: int, b_max: Optional[int] = None, c_max: Optional[int] = None) -> SegmentedBox:
-    return SegmentedBox(t_max, seg_max, seg_max if b_max is None else b_max,
-                        seg_max if c_max is None else c_max)
+    b_max = seg_max if b_max is None else b_max
+    c_max = seg_max if c_max is None else c_max
+    _nonnegative(t_max=t_max, seg_max=seg_max, b_max=b_max, c_max=c_max)
+    return SegmentedBox(t_max, seg_max, b_max, c_max)
 
 
 @dataclass(frozen=True)
@@ -559,6 +569,7 @@ class TripleBox:
 
 
 def triple_box(cap: int) -> TripleBox:
+    _nonnegative(cap=cap)
     return TripleBox(cap)
 
 
@@ -580,7 +591,11 @@ class SelectorBox:
 
 
 def selector_box(k: int, block_max: int, tail_max: Optional[int] = None) -> SelectorBox:
-    return SelectorBox(k, block_max, block_max if tail_max is None else tail_max)
+    tail_max = block_max if tail_max is None else tail_max
+    _nonnegative(block_max=block_max, tail_max=tail_max)
+    if k < 1:  # a selector word chooses one of blocks 1..k, so k = 0 leaves the box empty
+        raise ValueError(f"k must be >= 1, got {k}")
+    return SelectorBox(k, block_max, tail_max)
 
 
 @dataclass(frozen=True)
@@ -599,6 +614,7 @@ class PairedBox:
 
 
 def paired_box(k: int, cap: int) -> PairedBox:
+    _nonnegative(k=k, cap=cap)
     return PairedBox(k, cap)
 
 
@@ -640,12 +656,13 @@ class ComparisonReport:
     checked: int
 
 
-def _side_accepts(side: Side, item: GenItem) -> bool:
-    if isinstance(side, CounterNet):
-        return accepts(side, item.word)
+def _side_decider(side: Side, acceptor: Callable) -> Callable[[GenItem], bool]:
+    """One side's verdict on a generator item, each of its nets deciding
+    through acceptor(net)."""
     if callable(side):
-        return bool(side(item.word if item.params is None else item.params))
-    return all(accepts(net, item.word) for net in side)
+        return lambda item: bool(side(item.word if item.params is None else item.params))
+    deciders = [acceptor(net) for net in ((side,) if isinstance(side, CounterNet) else side)]
+    return lambda item: all(d(item.word) for d in deciders)
 
 
 def bounded_compare(
@@ -662,8 +679,10 @@ def bounded_compare(
     sequence accepts every word).  When the generator is AllWords and
     neither side is a callable or empty, the sweep runs as a joint
     frontier walk, with a sequence replaced by its product, which covers
-    the same words exactly.  Counterexamples are re-verified before being
-    reported.
+    the same words exactly.  Otherwise words are decided in generator
+    order, nets through prefix acceptors, so a prefix shared by many
+    words is stepped once.  A counterexample is re-verified with plain
+    accepts from the empty prefix before it is reported.
     """
     if isinstance(generator, AllWords) and not any(callable(s) or not s for s in (left, right)):
         a, b = (s if isinstance(s, CounterNet) else product_all(s) for s in (left, right))
@@ -671,15 +690,17 @@ def bounded_compare(
     sized = getattr(generator, "size", None)
     if sized is not None and sized() > hard_cap:
         raise SweepLimitError(f"generator holds {sized()} words, cap is {hard_cap}")
+    decide_left, decide_right = (_side_decider(s, prefix_acceptor) for s in (left, right))
     checked = 0
     for item in generator:
         checked += 1
-        l = _side_accepts(left, item)
-        r = _side_accepts(right, item)
+        l = decide_left(item)
+        r = decide_right(item)
         if l != r:
-            # paranoia: re-verify before reporting
-            if _side_accepts(left, item) != l or _side_accepts(right, item) != r:
-                raise RuntimeError("nondeterministic membership verdict")
+            # plain accepts is an independent path: a wrong trie verdict must not become a report
+            again = [_side_decider(s, lambda net: partial(accepts, net))(item) for s in (left, right)]
+            if again != [l, r]:
+                raise RuntimeError("membership verdict changed on re-verification")
             verdict = "left-only" if l else "right-only"
             return ComparisonReport(verdict, item.word, item.params, checked)
     return ComparisonReport("equal", None, None, checked)
@@ -799,6 +820,7 @@ def refute_partition_decomposition(
             raise ValueError("factors must be 1-counter nets")
         if f.alphabet != zoo.SEGMENT_ALPHABET:
             raise ValueError("factors must run over the a/b/c/# alphabet")
+    _nonnegative(box=box)
     k = len(factors)
     if strategy == "enumerate":
         return _refute_enumerate(factors, k, box)

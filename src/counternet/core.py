@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Word = tuple[str, ...]
 Vector = tuple[int, ...]
@@ -62,6 +62,16 @@ class CounterNet:
         object.__setattr__(self, "initial", frozenset(self.initial))
         object.__setattr__(self, "accepting", frozenset(self.accepting))
         object.__setattr__(self, "transitions", tuple(self.transitions))
+
+    @cached_property
+    def step_table(self) -> dict[tuple[str, str], tuple[tuple[Vector, str], ...]]:
+        """(state, letter) -> ((effect, target), ...) in declaration order,
+        built on first use and kept on the instance (not a field: equality
+        and hashing ignore it)."""
+        table: dict[tuple[str, str], list[tuple[Vector, str]]] = {}
+        for t in self.transitions:
+            table.setdefault((t.source, t.letter), []).append((t.effect, t.target))
+        return {k: tuple(v) for k, v in table.items()}
 
 
 @dataclass(frozen=True)
@@ -213,22 +223,13 @@ def is_antichain(vectors: Iterable[Vector]) -> bool:
     return True
 
 
-@lru_cache(maxsize=512)
-def _step_table(net: CounterNet) -> dict[tuple[str, str], tuple[tuple[Vector, str], ...]]:
-    """(state, letter) -> ((effect, target), ...) in declaration order."""
-    table: dict[tuple[str, str], list[tuple[Vector, str]]] = {}
-    for t in net.transitions:
-        table.setdefault((t.source, t.letter), []).append((t.effect, t.target))
-    return {k: tuple(v) for k, v in table.items()}
-
-
 def step_frontier(net: CounterNet, frontier: Frontier, letter: str) -> Frontier:
     """Image of a frontier under one letter, pruned back to antichains.
 
     A letter without transitions (including letters outside the alphabet)
     produces an empty frontier.
     """
-    table = _step_table(net)
+    table = net.step_table
     out: Frontier = {}
     for state, vectors in frontier.items():
         moves = table.get((state, letter))
@@ -272,6 +273,30 @@ def accepts(net: CounterNet, word: Sequence[str], initial: Optional[Sequence[int
         if not frontier:
             return False
     return frontier_accepts(net, frontier)
+
+
+def prefix_acceptor(net: CounterNet, initial: Optional[Sequence[int]] = None) -> Callable[[Sequence[str]], bool]:
+    """A membership decider with the answers of accepts(net, word, initial)
+    that steps each distinct prefix once, whatever order words arrive in.
+
+    It keeps a trie of (frontier, {letter: child}) nodes, one per prefix
+    seen so far; a prefix whose frontier is empty gets no children.  The
+    trie lives as long as the returned function.
+    """
+    root: tuple[Frontier, dict] = (initial_frontier(net, initial), {})
+
+    def decide(word: Sequence[str]) -> bool:
+        frontier, children = root
+        for letter in word:
+            if not frontier:
+                return False
+            node = children.get(letter)
+            if node is None:
+                node = children[letter] = (step_frontier(net, frontier, letter), {})
+            frontier, children = node
+        return frontier_accepts(net, frontier)
+
+    return decide
 
 
 def accepts_naive(

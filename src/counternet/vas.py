@@ -25,8 +25,8 @@ from .core import (
     Transition,
     Vector,
     Word,
-    accepts,
     is_deterministic,
+    prefix_acceptor,
     validate,
     walk_paths,
 )
@@ -356,19 +356,21 @@ def verify_pipeline(
 
     lab_words = _language_by_paths(labels.net, max_len)
     orig_words = {w for w in map(labels.unlabel, lab_words)}
-    direct = {item.word for item in all_words(net.alphabet, max_len) if accepts(net, item.word)}
+    in_net = prefix_acceptor(net)
+    direct = {item.word for item in all_words(net.alphabet, max_len) if in_net(item.word)}
     # unlabelling must be injective here: one accepted path per word
     labelled_matches = orig_words == direct and len(lab_words) == len(orig_words)
 
     failures: list[Word] = []
     expanded: set[Word] = set()
+    in_flat = prefix_acceptor(result.net, result.initial)
     for w in sorted(lab_words, key=lambda x: (len(x), x)):
         for stop in (1, 2, 3):
             if not w and stop > 1:
                 continue
             pref = triplet_transform(w, stop) if w else ()
             expanded.add(pref)
-            if not accepts(result.net, pref, initial=result.initial):
+            if not in_flat(pref):
                 failures.append(pref)
 
     flat_words = _flat_language(result, flat_len)

@@ -37,6 +37,7 @@ from counternet.core import (
     accepts_naive,
     enumerate_runs,
     max_positive_update,
+    prefix_acceptor,
     validate,
 )
 from counternet.zoo import (
@@ -118,10 +119,10 @@ def test_criterion_05_product_law_random():
     for _ in range(50):
         a = random_cn(rng, 1, max_states=4)
         b = random_cn(rng, 1, max_states=4)
-        prod = product(a, b)
+        in_a, in_b, in_prod = (prefix_acceptor(n) for n in (a, b, product(a, b)))
         for item in all_words(a.alphabet, 7):
-            both = accepts(a, item.word) and accepts(b, item.word)
-            if accepts(prod, item.word) != both:
+            both = in_a(item.word) and in_b(item.word)
+            if in_prod(item.word) != both:
                 failures += 1
     report(5, failures == 0, f"50 random pairs, words to length 7, {failures} failures")
 
@@ -317,14 +318,14 @@ def test_criterion_13_zoo_families_match_oracles():
 
 
 def test_criterion_14_conjecture_family_cross_check():
-    net = build_partition_k(2)
+    in_net = prefix_acceptor(build_partition_k(2))
     mismatches = 0
     checked = 0
     for item in segmented_box(3, 6):
         sw = item.params
         w = render_partition_k(2, PartitionKWord(sw.segments, (sw.m_b, sw.m_c)))
         checked += 1
-        if accepts(net, w) != partition_oracle(sw):
+        if in_net(w) != partition_oracle(sw):
             mismatches += 1
     report(14, mismatches == 0,
            f"{checked} mapped segmented words, {mismatches} mismatches")

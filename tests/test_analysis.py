@@ -558,6 +558,26 @@ def test_negative_length_bounds_are_rejected():
         compare_nets_walk(p, p, -1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: segmented_box(-1, 2),
+    lambda: segmented_box(3, -1),
+    lambda: segmented_box(3, 2, -1),
+    lambda: segmented_box(3, 2, 2, -1),
+    lambda: triple_box(-1),
+    lambda: selector_box(2, -1),
+    lambda: selector_box(2, 1, -1),
+    lambda: selector_box(-1, 1),
+    lambda: selector_box(0, 1),
+    lambda: paired_box(1, -1),
+    lambda: paired_box(-1, 1),
+    lambda: refute_partition_decomposition(list(build_coarse_factors()), box=-1),
+    lambda: refute_partition_decomposition(list(build_coarse_factors()), strategy="guided", box=-1),
+])
+def test_negative_box_bounds_are_rejected(make):
+    with pytest.raises(ValueError, match="must be >= "):
+        make()
+
+
 def test_sequence_sides_compare_as_intersections():
     main, bb, bc = build_shared_budget()
     for gen in (all_words(SEGMENT_ALPHABET, 5), triple_box(3)):
@@ -647,6 +667,41 @@ def test_decomposition_agrees_with_brute_force(seed):
     assert (walked.verdict, walked.counterexample) == (verdict, word)
     swept = check_decomposition(target, [f1, f2], list(words))
     assert (swept.verdict, swept.counterexample, swept.checked) == (verdict, word, checked)
+
+
+def test_sweep_of_a_shuffled_list_matches_brute_force():
+    rng = random.Random(2307)
+    for _ in range(40):
+        target, f1, f2 = (random_cn(rng, dim=1) for _ in range(3))
+        items = list(all_words(LETTERS, 5))
+        rng.shuffle(items)
+        for right in (f1, (f1, f2), (target, target)):
+            factors = right if isinstance(right, tuple) else (right,)
+            expected = ("equal", None, len(items))
+            for checked, item in enumerate(items, 1):
+                l, r = accepts(target, item.word), all(accepts(f, item.word) for f in factors)
+                if l != r:
+                    expected = ("left-only" if l else "right-only", item.word, checked)
+                    break
+            rep = bounded_compare(target, right, items)
+            assert (rep.verdict, rep.counterexample, rep.checked) == expected
+
+
+def test_sweep_refuses_a_wrong_acceptor_verdict(monkeypatch):
+    import counternet.analysis as analysis_mod
+    real = analysis_mod.prefix_acceptor
+    flipped = ("a", "#", "b", "c")
+
+    def flipping(net, initial=None):
+        decide = real(net, initial)
+        return lambda w: decide(w) != (tuple(w) == flipped)
+    p = build_partition_net()
+    assert bounded_compare(p, partition_oracle, segmented_box(3, 2)).verdict == "equal"
+    monkeypatch.setattr(analysis_mod, "prefix_acceptor", flipping)
+    with pytest.raises(RuntimeError):
+        bounded_compare(p, partition_oracle, segmented_box(3, 2))
+    with pytest.raises(RuntimeError):
+        check_decomposition(partition_oracle, [p], segmented_box(3, 2))
 
 
 def test_decomposition_hard_cap():

@@ -168,6 +168,22 @@ def test_negative_word_length_is_a_usage_error(capsys, argv):
     assert "must be >= 0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("eq", "zoo:P", "zoo:coarse.b", "--segmented-box", "-1"),
+    ("eq", "zoo:P", "zoo:coarse.b", "--box", "triple:-1"),
+    ("eq", "zoo:P", "zoo:coarse.b", "--box", "selector:2,-1"),
+    ("eq", "zoo:P", "zoo:coarse.b", "--box", "selector:0,3"),
+    ("eq", "zoo:P", "zoo:coarse.b", "--box", "paired:1,-1"),
+    ("eq", "zoo:P", "zoo:coarse.b", "--box", "segmented:-1,2"),
+    ("refute-p", "zoo:coarse.b", "zoo:coarse.c", "--param-box", "-1"),
+])
+def test_negative_box_bound_is_a_usage_error(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "must be >= " in err
+
+
 # --- construction commands round-trip through files ----------------------------------
 
 def test_product_then_eq(tmp_path, capsys):

@@ -21,11 +21,13 @@ from counternet.core import (
     is_deterministic,
     is_valid_n_run,
     max_positive_update,
+    prefix_acceptor,
     replay,
     run_effect,
     step_frontier,
     validate,
 )
+from counternet.analysis import all_words
 from counternet.zoo import (
     build_coarse_factors,
     build_paired_dcn,
@@ -278,6 +280,60 @@ def test_accepts_matches_naive_on_random_nets(seed, letters):
     net = random_cn(rng, dim=rng.randint(0, 2), max_states=4, letters=("a", "b", "#", "c"))
     w = tuple(letters)
     assert accepts(net, w) == accepts_naive(net, w)
+
+
+def test_prefix_acceptor_matches_accepts_on_random_nets():
+    rng = random.Random(2307)
+    for _ in range(40):
+        dim = rng.randint(0, 2)
+        net = random_cn(rng, dim=dim, max_states=4)
+        words = [item.word for item in all_words(net.alphabet, 6)]
+        shuffled = words[:]
+        rng.shuffle(shuffled)
+        for initial in (None, tuple(rng.randint(0, 2) for _ in range(dim))):
+            for order in (words, shuffled):
+                decide = prefix_acceptor(net, initial)
+                assert [decide(w) for w in order] == [accepts(net, w, initial) for w in order]
+
+
+def test_prefix_acceptor_steps_each_prefix_once(monkeypatch):
+    import counternet.core as core_mod
+    calls = []
+    real = core_mod.step_frontier
+    monkeypatch.setattr(core_mod, "step_frontier",
+                        lambda net, frontier, letter: calls.append(letter) or real(net, frontier, letter))
+    p = build_partition_net()
+    words = [item.word for item in all_words(p.alphabet, 4)]
+    decide = prefix_acceptor(p)
+    first = [decide(w) for w in words]
+    prefixes = {w[:i] for w in words for i in range(1, len(w) + 1)}
+    assert 0 < len(calls) <= len(prefixes)
+    stepped = len(calls)
+    assert [decide(w) for w in reversed(words)] == first[::-1]
+    assert len(calls) == stepped  # a second pass steps nothing
+    # a prefix with an empty frontier gets no children: y is never stepped
+    calls.clear()
+    dead = prefix_acceptor(validate(CounterNet(
+        "dead", 0, frozenset("xy"), ("q",), ("q",), ("q",), (Transition("q", "y", (), "q"),))))
+    assert not any(dead(("x",) + ("y",) * n) for n in range(5))
+    assert calls == ["x"]
+
+
+def test_prefix_acceptor_rejects_a_bad_initial_vector():
+    p = build_partition_net()
+    with pytest.raises(ValueError):
+        prefix_acceptor(p, (-1, 0))
+    with pytest.raises(ValueError):
+        prefix_acceptor(p, (0,))
+
+
+def test_step_table_is_kept_on_the_net_and_ignored_by_equality():
+    p = build_partition_net()
+    table = p.step_table
+    assert p.step_table is table
+    twin = build_partition_net()
+    assert twin == p and hash(twin) == hash(p)
+    assert twin.step_table == table and twin.step_table is not table
 
 
 # --- run enumeration ----------------------------------------------------
