@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -35,12 +35,10 @@ from . import zoo
 from .constructions import product_all
 from .zoo import (
     PairedBlockWord,
-    PartitionKWord,
     SegmentedWord,
     SelectorWord,
     partition_oracle,
     render_paired,
-    render_partition_k,
     render_segmented,
     render_selector,
 )
@@ -373,6 +371,12 @@ class WitnessSearch:
     words_tried: int
 
 
+def _nonnegative(**bounds: int) -> None:
+    for name, value in bounds.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class SearchCaps:
     """Budgets for witness and pump family searches."""
@@ -382,6 +386,9 @@ class SearchCaps:
     coefficient_cap: int = 4       # pump coefficients sweep 1..coefficient_cap times the period
     horizon: int = 5               # pump families are membership-checked for n <= horizon
     n_cap: int = 8                 # refuter grows n up to this
+
+    def __post_init__(self) -> None:
+        _nonnegative(**asdict(self))
 
 
 def find_bad_segment_witness(
@@ -499,12 +506,6 @@ class AllWords:
                 yield GenItem(combo)
 
 
-def _nonnegative(**bounds: int) -> None:
-    for name, value in bounds.items():
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
-
-
 def all_words(alphabet: Iterable[str], max_len: int) -> AllWords:
     if max_len < 0:
         raise ValueError(f"word length bound must be >= 0, got {max_len}")
@@ -512,131 +513,100 @@ def all_words(alphabet: Iterable[str], max_len: int) -> AllWords:
 
 
 @dataclass(frozen=True)
-class SegmentedBox:
-    """Every SegmentedWord with at most t_max segments and parameters up
-    to the caps, ordered by rendered length then parameters."""
+class WordBox:
+    """A finite word generator of `count` words; every pass calls items()
+    for a fresh iterator."""
 
-    t_max: int
-    seg_max: int
-    b_max: int
-    c_max: int
+    count: int
+    items: Callable[[], Iterator[GenItem]]
 
     def size(self) -> int:
-        total = 0
-        for t in range(self.t_max + 1):
-            total += (self.seg_max + 1) ** t * (self.b_max + 1) * (self.c_max + 1)
-        return total
+        return self.count
 
     def __iter__(self) -> Iterator[GenItem]:
-        items: list[tuple[int, tuple, SegmentedWord]] = []
-        for t in range(self.t_max + 1):
-            for segs in itertools.product(range(self.seg_max + 1), repeat=t):
-                for m_b in range(self.b_max + 1):
-                    for m_c in range(self.c_max + 1):
-                        sw = SegmentedWord(segs, m_b, m_c)
-                        length = sum(segs) + t + m_b + m_c
-                        items.append((length, (t, segs, m_b, m_c), sw))
-        items.sort(key=lambda it: (it[0], it[1]))
-        for _, _, sw in items:
-            yield GenItem(render_segmented(sw), sw)
+        return self.items()
 
 
-def segmented_box(t_max: int, seg_max: int, b_max: Optional[int] = None, c_max: Optional[int] = None) -> SegmentedBox:
+def segmented_box(t_max: int, seg_max: int, b_max: Optional[int] = None, c_max: Optional[int] = None) -> WordBox:
+    """Every SegmentedWord with at most t_max segments and parameters up
+    to the caps, ordered by rendered length then parameters."""
     b_max = seg_max if b_max is None else b_max
     c_max = seg_max if c_max is None else c_max
     _nonnegative(t_max=t_max, seg_max=seg_max, b_max=b_max, c_max=c_max)
-    return SegmentedBox(t_max, seg_max, b_max, c_max)
+
+    def items() -> Iterator[GenItem]:
+        keyed = []
+        for t in range(t_max + 1):
+            for segs in itertools.product(range(seg_max + 1), repeat=t):
+                for m_b in range(b_max + 1):
+                    for m_c in range(c_max + 1):
+                        keyed.append((sum(segs) + t + m_b + m_c, (t, segs, m_b, m_c)))
+        keyed.sort()
+        for _, (_, segs, m_b, m_c) in keyed:
+            sw = SegmentedWord(segs, m_b, m_c)
+            yield GenItem(render_segmented(sw), sw)
+
+    count = sum((seg_max + 1) ** t for t in range(t_max + 1)) * (b_max + 1) * (c_max + 1)
+    return WordBox(count, items)
 
 
-@dataclass(frozen=True)
-class TripleBox:
-    """Words a^m # b^n # c^k for all parameters up to cap."""
+def triple_box(cap: int) -> WordBox:
+    """Words a^m # b^n # c^k for all parameters up to cap, by m + n + k."""
+    _nonnegative(cap=cap)
 
-    cap: int
-
-    def size(self) -> int:
-        return (self.cap + 1) ** 3
-
-    def __iter__(self) -> Iterator[GenItem]:
-        for total in range(3 * self.cap + 1):
-            for m in range(min(self.cap, total) + 1):
-                for n in range(min(self.cap, total - m) + 1):
+    def items() -> Iterator[GenItem]:
+        for total in range(3 * cap + 1):
+            for m in range(min(cap, total) + 1):
+                for n in range(min(cap, total - m) + 1):
                     k = total - m - n
-                    if k > self.cap:
+                    if k > cap:
                         continue
                     word = ("a",) * m + ("#",) + ("b",) * n + ("#",) + ("c",) * k
                     yield GenItem(word, (m, n, k))
 
-
-def triple_box(cap: int) -> TripleBox:
-    _nonnegative(cap=cap)
-    return TripleBox(cap)
+    return WordBox((cap + 1) ** 3, items)
 
 
-@dataclass(frozen=True)
-class SelectorBox:
-    k: int
-    block_max: int
-    tail_max: int
-
-    def size(self) -> int:
-        return (self.block_max + 1) ** self.k * self.k * (self.tail_max + 1)
-
-    def __iter__(self) -> Iterator[GenItem]:
-        for blocks in itertools.product(range(self.block_max + 1), repeat=self.k):
-            for choice in range(1, self.k + 1):
-                for tail in range(self.tail_max + 1):
-                    sw = SelectorWord(blocks, choice, tail)
-                    yield GenItem(render_selector(self.k, sw), sw)
-
-
-def selector_box(k: int, block_max: int, tail_max: Optional[int] = None) -> SelectorBox:
+def selector_box(k: int, block_max: int, tail_max: Optional[int] = None) -> WordBox:
+    """Every SelectorWord with k blocks up to block_max and a tail up to
+    tail_max."""
     tail_max = block_max if tail_max is None else tail_max
     _nonnegative(block_max=block_max, tail_max=tail_max)
     if k < 1:  # a selector word chooses one of blocks 1..k, so k = 0 leaves the box empty
         raise ValueError(f"k must be >= 1, got {k}")
-    return SelectorBox(k, block_max, tail_max)
+
+    def items() -> Iterator[GenItem]:
+        for blocks in itertools.product(range(block_max + 1), repeat=k):
+            for choice in range(1, k + 1):
+                for tail in range(tail_max + 1):
+                    sw = SelectorWord(blocks, choice, tail)
+                    yield GenItem(render_selector(k, sw), sw)
+
+    return WordBox((block_max + 1) ** k * k * (tail_max + 1), items)
 
 
-@dataclass(frozen=True)
-class PairedBox:
-    k: int
-    cap: int
-
-    def size(self) -> int:
-        return (self.cap + 1) ** (2 * self.k)
-
-    def __iter__(self) -> Iterator[GenItem]:
-        for supplies in itertools.product(range(self.cap + 1), repeat=self.k):
-            for demands in itertools.product(range(self.cap + 1), repeat=self.k):
-                pw = PairedBlockWord(supplies, demands)
-                yield GenItem(render_paired(self.k, pw), pw)
-
-
-def paired_box(k: int, cap: int) -> PairedBox:
+def paired_box(k: int, cap: int) -> WordBox:
+    """Every PairedBlockWord with k supplies and k demands up to cap."""
     _nonnegative(k=k, cap=cap)
-    return PairedBox(k, cap)
+
+    def items() -> Iterator[GenItem]:
+        for supplies in itertools.product(range(cap + 1), repeat=k):
+            for demands in itertools.product(range(cap + 1), repeat=k):
+                pw = PairedBlockWord(supplies, demands)
+                yield GenItem(render_paired(k, pw), pw)
+
+    return WordBox((cap + 1) ** (2 * k), items)
 
 
-@dataclass(frozen=True)
-class PartitionKBox:
-    k: int
-    t_max: int
-    seg_max: int
-    demand_max: int
-
-    def size(self) -> int:
-        total = 0
-        for t in range(self.t_max + 1):
-            total += (self.seg_max + 1) ** t * (self.demand_max + 1) ** self.k
-        return total
-
-    def __iter__(self) -> Iterator[GenItem]:
-        for t in range(self.t_max + 1):
-            for segs in itertools.product(range(self.seg_max + 1), repeat=t):
-                for demands in itertools.product(range(self.demand_max + 1), repeat=self.k):
-                    pw = PartitionKWord(segs, demands)
-                    yield GenItem(render_partition_k(self.k, pw), pw)
+# The word box families by name, each with the argument counts its
+# constructor takes; all_words also takes the alphabet first.
+BOXES: dict[str, tuple[Callable[..., Iterable[GenItem]], tuple[int, ...]]] = {
+    "words": (all_words, (1,)),
+    "segmented": (segmented_box, (2, 4)),
+    "triple": (triple_box, (1,)),
+    "selector": (selector_box, (2, 3)),
+    "paired": (paired_box, (2,)),
+}
 
 
 # A side of a comparison: a net, a callable oracle, or a sequence of nets

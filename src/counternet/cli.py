@@ -5,8 +5,8 @@ or `zoo:<family>[.<member>]` for a family of `zoo.FAMILIES` (<families>).
 A bare family name means its first member.  A family whose name holds k
 takes --k or an inline number, which wins (zoo:L3.dcn, zoo:H2,
 zoo:P2kConj); zoo:fig1.product is the product of fig1.b1 and fig1.b2.
-Word generators are spelled `--box family:args` or via the shorthands
---max-len and --segmented-box.
+Word generators are spelled `--box family:args` for a family of
+`analysis.BOXES`, or via the shorthands --max-len and --segmented-box.
 
 Exit codes: 0 for positive verdicts (accept, equal, no violations),
 1 for negative ones (reject, counterexample, exhausted), 2 for usage or
@@ -116,54 +116,32 @@ def render_word_text(word: Word) -> str:
     return " ".join(parts)
 
 
-def _parse_box(text: str):
-    fam, _, rest = text.partition(":")
-    args = [a for a in rest.split(",") if a]
-    try:
-        nums = [int(a) for a in args]
-    except ValueError:
-        raise CliError(f"box arguments must be integers: {text!r}")
-
-    def arity(*allowed: int) -> None:
-        if len(nums) not in allowed:
-            raise CliError(f"box {fam} takes {allowed} arguments, got {len(nums)}")
-
-    if fam == "words":
-        arity(1)
-        return ("words", nums[0])
-    if fam == "segmented":
-        arity(2, 4)
-        if len(nums) == 2:
-            return analysis.segmented_box(nums[0], nums[1])
-        return analysis.segmented_box(nums[0], nums[1], nums[2], nums[3])
-    if fam == "triple":
-        arity(1)
-        return analysis.triple_box(nums[0])
-    if fam == "selector":
-        arity(2, 3)
-        return analysis.selector_box(*nums)
-    if fam == "paired":
-        arity(2)
-        return analysis.paired_box(nums[0], nums[1])
-    raise CliError(f"unknown box family {fam!r}")
-
-
 def _generator_for(args, nets: Sequence[CounterNet]):
     picks = [x for x in (args.max_len is not None, args.segmented_box is not None,
                          args.box is not None) if x]
     if len(picks) != 1:
         raise CliError("choose exactly one of --max-len, --segmented-box, --box")
     if args.segmented_box is not None:
-        return analysis.segmented_box(3, args.segmented_box)
-    if args.max_len is not None:
-        box, flag = ("words", args.max_len), "--max-len"
+        family, nums = "segmented", [3, args.segmented_box]
+    elif args.max_len is not None:
+        family, nums = "words", [args.max_len]
     else:
-        box, flag = _parse_box(args.box), "--box words"
-    if not isinstance(box, tuple):
-        return box
-    if len({n.alphabet for n in nets}) != 1:
-        raise CliError(f"{flag} needs machines over a common alphabet")
-    return analysis.all_words(nets[0].alphabet, box[1])
+        family, _, rest = args.box.partition(":")
+        try:
+            nums = [int(a) for a in rest.split(",") if a]
+        except ValueError:
+            raise CliError(f"box arguments must be integers: {args.box!r}")
+    if family not in analysis.BOXES:
+        raise CliError(f"unknown box family {family!r}")
+    build, allowed = analysis.BOXES[family]
+    if len(nums) not in allowed:
+        raise CliError(f"box {family} takes {allowed} arguments, got {len(nums)}")
+    if family == "words":
+        if len({n.alphabet for n in nets}) != 1:
+            flag = "--max-len" if args.max_len is not None else "--box words"
+            raise CliError(f"{flag} needs machines over a common alphabet")
+        nums.insert(0, nets[0].alphabet)
+    return build(*nums)
 
 
 def _parse_initial(text: Optional[str], dim: int) -> Optional[Vector]:
@@ -341,7 +319,7 @@ def _cmd_refute_p(args) -> tuple[str, Optional[Word], dict, str]:
 def _cmd_pump(args) -> tuple[str, Optional[Word], dict, str]:
     net = _resolve(args.machine, args.k)
     word = fileformat.parse_word(args.word)
-    enum = enumerate_accepting_runs(net, word, cap=args.run_cap or 64)
+    enum = enumerate_accepting_runs(net, word, cap=1)  # only the first run is pumped
     if not enum.runs:
         return "reject", None, {"word": args.word}, "machine rejects the word; nothing to pump"
     run = enum.runs[0]
@@ -512,7 +490,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--times", type=int, default=1)
     p.add_argument("--factorial", action="store_true",
                    help="scale copies so one unit adds a |Q|!-length block")
-    p.add_argument("--run-cap", type=int, default=None)
     _add_k(p)
     p.set_defaults(handler=_cmd_pump)
 

@@ -21,13 +21,6 @@ def product(a: CounterNet, b: CounterNet) -> CounterNet:
     """
     if a.alphabet != b.alphabet:
         raise ValueError("product requires a common alphabet")
-    by_letter_a: dict[tuple[str, str], list[Transition]] = {}
-    for t in a.transitions:
-        by_letter_a.setdefault((t.source, t.letter), []).append(t)
-    by_letter_b: dict[tuple[str, str], list[Transition]] = {}
-    for t in b.transitions:
-        by_letter_b.setdefault((t.source, t.letter), []).append(t)
-
     def pair_id(p: str, q: str) -> str:
         return f"{p}~{q}"
 
@@ -45,15 +38,14 @@ def product(a: CounterNet, b: CounterNet) -> CounterNet:
     while queue:
         p, q = queue.popleft()
         for letter in letters:
-            for ta in by_letter_a.get((p, letter), ()):
-                for tb in by_letter_b.get((q, letter), ()):
-                    nxt = (ta.target, tb.target)
+            for effect_a, target_a in a.step_table.get((p, letter), ()):
+                for effect_b, target_b in b.step_table.get((q, letter), ()):
+                    nxt = (target_a, target_b)
                     if nxt not in seen:
                         seen[nxt] = pair_id(*nxt)
                         order.append(nxt)
                         queue.append(nxt)
-                    transitions.append(Transition(
-                        seen[(p, q)], letter, ta.effect + tb.effect, seen[nxt]))
+                    transitions.append(Transition(seen[(p, q)], letter, effect_a + effect_b, seen[nxt]))
     rank = {seen[pair]: i for i, pair in enumerate(order)}
     transitions.sort(key=lambda t: (rank[t.source], t.letter, rank[t.target]))
     return validate(CounterNet(

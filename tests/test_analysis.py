@@ -14,6 +14,7 @@ from counternet.analysis import (
     SIGN_NEGATIVE,
     SIGN_NONNEGATIVE,
     SIGN_POSITIVE,
+    BOXES,
     BadSegmentWitness,
     CycleWitness,
     PumpableCycle,
@@ -507,6 +508,28 @@ def test_selector_and_paired_boxes():
     assert len(list(paired_box(2, 2))) == 81
 
 
+def test_segmented_box_order_is_length_then_parameters():
+    expected = sorted(
+        (sum(segs) + t + m_b + m_c, (t, segs, m_b, m_c))
+        for t in range(3) for segs in cartesian(range(3), repeat=t)
+        for m_b in range(2) for m_c in range(3))
+    got = [it.params for it in segmented_box(2, 2, 1, 2)]
+    assert got == [SegmentedWord(segs, m_b, m_c) for _, (_, segs, m_b, m_c) in expected]
+
+
+@pytest.mark.parametrize("family, args", [
+    ("words", ("ab", 3)), ("segmented", (2, 1)), ("segmented", (1, 2, 0, 1)),
+    ("triple", (2,)), ("selector", (2, 1)), ("selector", (3, 1, 0)), ("paired", (2, 1)),
+])
+def test_every_box_family_sizes_and_repeats(family, args):
+    build, arities = BOXES[family]
+    assert len(args) - (family == "words") in arities
+    box = build(*args)
+    passes = [[(it.word, it.params) for it in box] for _ in range(2)]
+    assert passes[0] == passes[1]  # each pass starts afresh
+    assert len(passes[0]) == len(set(passes[0])) == box.size()
+
+
 # --- bounded comparison -----------------------------------------------------------
 
 def test_compare_net_to_itself():
@@ -570,6 +593,8 @@ def test_negative_length_bounds_are_rejected():
     lambda: selector_box(0, 1),
     lambda: paired_box(1, -1),
     lambda: paired_box(-1, 1),
+    lambda: SearchCaps(n_cap=-1),
+    lambda: SearchCaps(max_multiple=-3),
     lambda: refute_partition_decomposition(list(build_coarse_factors()), box=-1),
     lambda: refute_partition_decomposition(list(build_coarse_factors()), strategy="guided", box=-1),
 ])

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from counternet import cli, zoo
+from counternet import analysis, cli, zoo
 from counternet.cli import main, render_word_text
 from counternet.core import EnumerationCapError
 from counternet.fileformat import parse_machine_file
@@ -176,6 +176,9 @@ def test_negative_word_length_is_a_usage_error(capsys, argv):
     ("eq", "zoo:P", "zoo:coarse.b", "--box", "paired:1,-1"),
     ("eq", "zoo:P", "zoo:coarse.b", "--box", "segmented:-1,2"),
     ("refute-p", "zoo:coarse.b", "zoo:coarse.c", "--param-box", "-1"),
+    ("refute-p", "zoo:coarse.b", "zoo:coarse.c", "--strategy", "guided", "--n-cap", "-1"),
+    ("refute-p", "zoo:coarse.b", "zoo:coarse.c", "--strategy", "guided", "--max-multiple", "-3"),
+    ("refute-p", "zoo:coarse.b", "zoo:coarse.c", "--run-cap", "-1"),
 ])
 def test_negative_box_bound_is_a_usage_error(capsys, argv):
     rc, out, err = run(capsys, *argv)
@@ -370,6 +373,16 @@ def test_readme_lists_the_zoo_table():
     assert "Zoo entries: " + ", ".join(f"`{e}`" for e in entries) + "," in readme
 
 
+def test_box_docs_list_the_box_table(capsys):
+    assert main(["eq", "--help"]) == 0
+    box_help = capsys.readouterr().out.split("--box FAM:ARGS", 1)[1]
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    sweeps = readme.split("Word sweeps take exactly one generator flag:", 1)[1].split(".", 1)[0]
+    for family in analysis.BOXES:
+        assert f"{family}:" in box_help
+        assert f"{family}:" in sweeps
+
+
 # --- decompose-check ----------------------------------------------------------------------
 
 def test_decompose_check_budget(capsys):
@@ -493,6 +506,8 @@ def test_json_report_shape(capsys):
 def test_usage_errors_exit_two(capsys):
     assert main(["eq"]) == 2
     assert main(["not-a-command"]) == 2
+    # pump takes the first accepting run and has no run cap to set
+    assert main(["pump", "zoo:coarse.b", "--word", "a^6 # b^3", "--run-cap", "-1"]) == 2
     capsys.readouterr()
 
 
