@@ -8,6 +8,7 @@ from .core import (
     CounterNet,
     EnumerationCapError,
     Frontier,
+    FrontierGraph,
     InvalidNetError,
     Run,
     Transition,

@@ -19,17 +19,15 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
     CounterNet,
+    FrontierGraph,
     Run,
     Transition,
     Vector,
     Word,
     accepts,
     enumerate_accepting_runs,
-    initial_frontier,
-    frontier_accepts,
     prefix_acceptor,
     replay,
-    step_frontier,
 )
 from . import zoo
 from .constructions import product_all
@@ -535,16 +533,16 @@ def segmented_box(t_max: int, seg_max: int, b_max: Optional[int] = None, c_max: 
     _nonnegative(t_max=t_max, seg_max=seg_max, b_max=b_max, c_max=c_max)
 
     def items() -> Iterator[GenItem]:
-        keyed = []
-        for t in range(t_max + 1):
-            for segs in itertools.product(range(seg_max + 1), repeat=t):
-                for m_b in range(b_max + 1):
-                    for m_c in range(c_max + 1):
-                        keyed.append((sum(segs) + t + m_b + m_c, (t, segs, m_b, m_c)))
-        keyed.sort()
-        for _, (_, segs, m_b, m_c) in keyed:
-            sw = SegmentedWord(segs, m_b, m_c)
-            yield GenItem(render_segmented(sw), sw)
+        # per t, each segment tuple with its length t + sum(segs), in lexicographic order
+        tuples = [[(segs, t + sum(segs)) for segs in itertools.product(range(seg_max + 1), repeat=t)]
+                  for t in range(t_max + 1)]
+        for length in range(t_max * (seg_max + 1) + b_max + c_max + 1):
+            for segs_t in tuples:
+                for segs, base in segs_t:
+                    rest = length - base  # m_b + m_c
+                    for m_b in range(max(0, rest - c_max), min(b_max, rest) + 1):
+                        sw = SegmentedWord(segs, m_b, rest - m_b)
+                        yield GenItem(render_segmented(sw), sw)
 
     count = sum((seg_max + 1) ** t for t in range(t_max + 1)) * (b_max + 1) * (c_max + 1)
     return WordBox(count, items)
@@ -650,9 +648,9 @@ def bounded_compare(
     neither side is a callable or empty, the sweep runs as a joint
     frontier walk, with a sequence replaced by its product, which covers
     the same words exactly.  Otherwise words are decided in generator
-    order, nets through prefix acceptors, so a prefix shared by many
-    words is stepped once.  A counterexample is re-verified with plain
-    accepts from the empty prefix before it is reported.
+    order, nets through prefix acceptors, so a frontier reached by many
+    prefixes is stepped once per letter.  A counterexample is re-verified
+    with plain accepts from the empty prefix before it is reported.
     """
     if isinstance(generator, AllWords) and not any(callable(s) or not s for s in (left, right)):
         a, b = (s if isinstance(s, CounterNet) else product_all(s) for s in (left, right))
@@ -667,7 +665,7 @@ def bounded_compare(
         l = decide_left(item)
         r = decide_right(item)
         if l != r:
-            # plain accepts is an independent path: a wrong trie verdict must not become a report
+            # plain accepts is an independent path: a wrong graph verdict must not become a report
             again = [_side_decider(s, lambda net: partial(accepts, net))(item) for s in (left, right)]
             if again != [l, r]:
                 raise RuntimeError("membership verdict changed on re-verification")
@@ -676,13 +674,9 @@ def bounded_compare(
     return ComparisonReport("equal", None, None, checked)
 
 
-def _frontier_key(frontier) -> frozenset:
-    return frozenset((q, frozenset(vs)) for q, vs in frontier.items())
-
-
 def compare_nets_walk(a: CounterNet, b: CounterNet, max_len: int, node_cap: int = 500_000) -> ComparisonReport:
     """Exact comparison of two nets on every word up to max_len by a
-    breadth-first walk over joint frontier pairs.
+    breadth-first walk over pairs of frontier ids, one FrontierGraph per net.
 
     Two prefixes with the same frontier pair behave identically ever
     after, so each pair is expanded once, from its shortest prefix.
@@ -692,18 +686,17 @@ def compare_nets_walk(a: CounterNet, b: CounterNet, max_len: int, node_cap: int 
     if a.alphabet != b.alphabet:
         raise ValueError("comparison requires a common alphabet")
     letters = sorted(a.alphabet)
-    fa, fb = initial_frontier(a), initial_frontier(b)
-    start = (_frontier_key(fa), _frontier_key(fb))
-    seen = {start}
-    queue = [(fa, fb, ())]
+    ga, gb = FrontierGraph(a), FrontierGraph(b)
+    seen = {(0, 0)}
+    queue = [(0, 0, ())]
     checked = 0
     while queue:
         next_queue = []
-        for fa, fb, prefix in queue:
+        for ia, ib, prefix in queue:
             checked += 1
             if checked > node_cap:
                 return ComparisonReport("exhausted", None, None, checked)
-            la, lb = frontier_accepts(a, fa), frontier_accepts(b, fb)
+            la, lb = ga.accepting[ia], gb.accepting[ib]
             if la != lb:
                 word = tuple(prefix)
                 if accepts(a, word) != la or accepts(b, word) != lb:
@@ -712,15 +705,11 @@ def compare_nets_walk(a: CounterNet, b: CounterNet, max_len: int, node_cap: int 
             if len(prefix) == max_len:
                 continue
             for letter in letters:
-                na = step_frontier(a, fa, letter)
-                nb = step_frontier(b, fb, letter)
-                if not na and not nb:
-                    continue  # both dead, no extension can mismatch
-                key = (_frontier_key(na), _frontier_key(nb))
-                if key in seen:
-                    continue
-                seen.add(key)
-                next_queue.append((na, nb, prefix + (letter,)))
+                pair = ga.step(ia, letter), gb.step(ib, letter)
+                if not (ga.frontiers[pair[0]] or gb.frontiers[pair[1]]) or pair in seen:
+                    continue  # both dead, no extension can mismatch; or expanded already
+                seen.add(pair)
+                next_queue.append((*pair, prefix + (letter,)))
         queue = next_queue
     return ComparisonReport("equal", None, None, checked)
 

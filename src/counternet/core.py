@@ -10,14 +10,13 @@ counters can only enable more behaviour, so dominated vectors are dropped.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 Word = tuple[str, ...]
 Vector = tuple[int, ...]
-Frontier = dict[str, set[Vector]]
+Frontier = dict[str, frozenset[Vector]]
 
 
 class InvalidNetError(ValueError):
@@ -200,27 +199,17 @@ def is_valid_n_run(net: CounterNet, run: Run, initial: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 # antichain frontier search
 
-def _dominates(u: Vector, v: Vector) -> bool:
-    return all(a >= b for a, b in zip(u, v))
-
-
-def antichain_insert(vectors: set[Vector], v: Vector) -> None:
-    """Insert v unless dominated; evict vectors v dominates."""
-    for u in vectors:
-        if _dominates(u, v):
-            return
-    dominated = [u for u in vectors if _dominates(v, u)]
-    for u in dominated:
-        vectors.discard(u)
-    vectors.add(v)
-
-
-def is_antichain(vectors: Iterable[Vector]) -> bool:
-    vs = list(vectors)
-    for u, v in itertools.combinations(vs, 2):
-        if _dominates(u, v) or _dominates(v, u):
-            return False
-    return True
+def _maximal(vectors: set[Vector]) -> frozenset[Vector]:
+    """The vectors of the set that no other one dominates.  A vector can
+    only be dominated by a lexicographically larger one, so in descending
+    order each is checked against those already kept, none is evicted."""
+    if len(vectors) == 1:
+        return frozenset(vectors)
+    kept: list[Vector] = []
+    for v in sorted(vectors, reverse=True):
+        if not any(all(a >= b for a, b in zip(u, v)) for u in kept):
+            kept.append(v)
+    return frozenset(kept)
 
 
 def step_frontier(net: CounterNet, frontier: Frontier, letter: str) -> Frontier:
@@ -230,23 +219,20 @@ def step_frontier(net: CounterNet, frontier: Frontier, letter: str) -> Frontier:
     produces an empty frontier.
     """
     table = net.step_table
-    out: Frontier = {}
+    out: dict[str, set[Vector]] = {}
     for state, vectors in frontier.items():
-        moves = table.get((state, letter))
-        if not moves:
-            continue
-        for effect, target in moves:
+        for effect, target in table.get((state, letter), ()):
             bucket = out.setdefault(target, set())
             for v in vectors:
                 w = tuple(a + e for a, e in zip(v, effect))
                 if all(x >= 0 for x in w):
-                    antichain_insert(bucket, w)
-    return {q: vs for q, vs in out.items() if vs}
+                    bucket.add(w)
+    return {q: _maximal(vs) for q, vs in out.items() if vs}
 
 
 def initial_frontier(net: CounterNet, initial: Optional[Sequence[int]] = None) -> Frontier:
     v0 = _initial_vector(net, initial)
-    return {q: {v0} for q in net.initial}
+    return {q: frozenset({v0}) for q in net.initial}
 
 
 def _initial_vector(net: CounterNet, initial: Optional[Sequence[int]]) -> Vector:
@@ -275,28 +261,69 @@ def accepts(net: CounterNet, word: Sequence[str], initial: Optional[Sequence[int
     return frontier_accepts(net, frontier)
 
 
+class FrontierGraph:
+    """The frontiers a net reaches from one start vector, each kept once.
+
+    A frontier gets an integer id on first sight, the start being 0;
+    frontiers[i] and accepting[i] describe it, and step(i, letter) is
+    memoised, so a sweep steps each (frontier, letter) pair once however
+    many prefixes reach it.  Counters that grow with the word give
+    unboundedly many frontiers, yet never more than the distinct prefixes
+    decided.  The graph lives as long as the object.
+    """
+
+    def __init__(self, net: CounterNet, initial: Optional[Sequence[int]] = None):
+        self.net = net
+        self.frontiers: list[Frontier] = []
+        self.accepting: list[bool] = []
+        self._ids: dict[frozenset, int] = {}
+        self._edges: dict[tuple[int, str], int] = {}
+        self._intern(initial_frontier(net, initial))
+
+    def _intern(self, frontier: Frontier) -> int:
+        key = frozenset(frontier.items())
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self.frontiers)
+            self.frontiers.append(frontier)
+            self.accepting.append(frontier_accepts(self.net, frontier))
+        return i
+
+    def step(self, i: int, letter: str) -> int:
+        j = self._edges.get((i, letter))
+        if j is None:
+            j = self._edges[i, letter] = self._intern(step_frontier(self.net, self.frontiers[i], letter))
+        return j
+
+    def accepts(self, word: Sequence[str]) -> bool:
+        """accepts(net, word, initial), never stepping past an empty frontier."""
+        i = 0
+        for letter in word:
+            if not self.frontiers[i]:
+                return False
+            i = self.step(i, letter)
+        return self.accepting[i]
+
+    def words(self, max_len: int) -> set[Word]:
+        """Every accepted word of at most max_len letters, depth first over
+        the graph without extending an empty frontier."""
+        letters = sorted(self.net.alphabet)
+        found: set[Word] = set()
+        stack: list[tuple[int, Word]] = [(0, ())]
+        while stack:
+            i, word = stack.pop()
+            if self.accepting[i]:
+                found.add(word)
+            if len(word) < max_len and self.frontiers[i]:
+                stack.extend((self.step(i, x), word + (x,)) for x in letters)
+        return found
+
+
 def prefix_acceptor(net: CounterNet, initial: Optional[Sequence[int]] = None) -> Callable[[Sequence[str]], bool]:
     """A membership decider with the answers of accepts(net, word, initial)
-    that steps each distinct prefix once, whatever order words arrive in.
-
-    It keeps a trie of (frontier, {letter: child}) nodes, one per prefix
-    seen so far; a prefix whose frontier is empty gets no children.  The
-    trie lives as long as the returned function.
-    """
-    root: tuple[Frontier, dict] = (initial_frontier(net, initial), {})
-
-    def decide(word: Sequence[str]) -> bool:
-        frontier, children = root
-        for letter in word:
-            if not frontier:
-                return False
-            node = children.get(letter)
-            if node is None:
-                node = children[letter] = (step_frontier(net, frontier, letter), {})
-            frontier, children = node
-        return frontier_accepts(net, frontier)
-
-    return decide
+    that steps each distinct (frontier, letter) pair once, whatever order
+    words arrive in."""
+    return FrontierGraph(net, initial).accepts
 
 
 def accepts_naive(
@@ -342,21 +369,19 @@ def walk_paths(
     net: CounterNet,
     start_state: str,
     initial: Sequence[int],
-    word: Optional[Sequence[str]] = None,
-    max_len: int = 0,
+    word: Sequence[str],
 ) -> Iterator[tuple[list[Config], list[Transition]]]:
-    """Every N-path from (start_state, initial), depth first by ascending
-    transition declaration index: the paths reading word, or without a
-    word all paths of at most max_len transitions.  Yields the live
-    (configs, transitions) lists at every node, root first; the walk
+    """Every N-path reading a prefix of word from (start_state, initial),
+    depth first by ascending transition declaration index.  Yields the
+    live (configs, transitions) lists at every node, root first; the walk
     changes them in place, so a caller copies what it keeps."""
     v0 = tuple(int(x) for x in initial)
     if any(x < 0 for x in v0):
         raise ValueError("initial vector must be non-negative")
-    letters = (None,) * max_len if word is None else tuple(word)  # None: any letter
-    table: dict[tuple[str, Optional[str]], list[Transition]] = {}
+    letters = tuple(word)
+    table: dict[tuple[str, str], list[Transition]] = {}
     for t in net.transitions:
-        table.setdefault((t.source, None if word is None else t.letter), []).append(t)
+        table.setdefault((t.source, t.letter), []).append(t)
 
     def moves(state: str, depth: int) -> Iterator[Transition]:
         return iter(table.get((state, letters[depth]), ()) if depth < len(letters) else ())
@@ -395,7 +420,7 @@ def enumerate_runs(
     ascending transition declaration index, up to cap runs."""
     w = tuple(word)
     runs: list[Run] = []
-    for configs, transitions in walk_paths(net, start_state, initial, word=w):
+    for configs, transitions in walk_paths(net, start_state, initial, w):
         if len(transitions) == len(w) and (not accepting_only or configs[-1].state in net.accepting):
             if len(runs) >= cap:
                 return RunEnumeration(tuple(runs), True)

@@ -22,15 +22,13 @@ from typing import Optional
 
 from .core import (
     CounterNet,
+    FrontierGraph,
     Transition,
     Vector,
     Word,
     is_deterministic,
-    prefix_acceptor,
     validate,
-    walk_paths,
 )
-from .analysis import all_words
 
 VAS_STATE = "u"
 
@@ -317,21 +315,6 @@ class PipelineReport:
     stats: dict
 
 
-def _language_by_paths(net: CounterNet, max_len: int) -> set[Word]:
-    """Accepted words of a deterministic distinctly-labelled net, where
-    words correspond to transition paths."""
-    start = next(iter(net.initial))
-    return {tuple(t.letter for t in path)
-            for configs, path in walk_paths(net, start, (0,) * net.dimension, max_len=max_len)
-            if configs[-1].state in net.accepting}
-
-
-def _flat_language(result: VasResult, max_len: int) -> set[Word]:
-    # single accepting state, every reachable word counts
-    return {tuple(t.letter for t in path)
-            for _, path in walk_paths(result.net, VAS_STATE, result.initial, max_len=max_len)}
-
-
 def verify_pipeline(
     net: CounterNet,
     max_len: int = 6,
@@ -354,26 +337,25 @@ def verify_pipeline(
     labels = distinct_label(net)
     result = vasify(labels.net)
 
-    lab_words = _language_by_paths(labels.net, max_len)
+    lab_words = FrontierGraph(labels.net).words(max_len)
     orig_words = {w for w in map(labels.unlabel, lab_words)}
-    in_net = prefix_acceptor(net)
-    direct = {item.word for item in all_words(net.alphabet, max_len) if in_net(item.word)}
+    direct = FrontierGraph(net).words(max_len)
     # unlabelling must be injective here: one accepted path per word
     labelled_matches = orig_words == direct and len(lab_words) == len(orig_words)
 
     failures: list[Word] = []
     expanded: set[Word] = set()
-    in_flat = prefix_acceptor(result.net, result.initial)
+    flat = FrontierGraph(result.net, result.initial)
     for w in sorted(lab_words, key=lambda x: (len(x), x)):
         for stop in (1, 2, 3):
             if not w and stop > 1:
                 continue
             pref = triplet_transform(w, stop) if w else ()
             expanded.add(pref)
-            if not in_flat(pref):
+            if not flat.accepts(pref):
                 failures.append(pref)
 
-    flat_words = _flat_language(result, flat_len)
+    flat_words = flat.words(flat_len)
     closed_images = {triplet_transform(w, s) for w in lab_words for s in (1, 2, 3) if w}
     closed_images.add(())
     extras = sorted((w for w in flat_words if w not in closed_images),

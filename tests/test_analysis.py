@@ -1,5 +1,6 @@
 import random
-from itertools import product as cartesian
+import tracemalloc
+from itertools import islice, product as cartesian
 
 import pytest
 from hypothesis import given, settings
@@ -43,11 +44,15 @@ from counternet.analysis import (
     triple_box,
 )
 from counternet.core import CounterNet, Run, Transition, accepts, replay, validate
+from counternet.constructions import project
 from counternet.zoo import (
     SEGMENT_ALPHABET,
     SegmentedWord,
     build_coarse_factors,
+    build_paired_dcn,
     build_partition_net,
+    build_selector_dcn,
+    build_selector_ncn,
     build_shared_budget,
     partition_oracle,
     render_segmented,
@@ -517,6 +522,18 @@ def test_segmented_box_order_is_length_then_parameters():
     assert got == [SegmentedWord(segs, m_b, m_c) for _, (_, segs, m_b, m_c) in expected]
 
 
+def test_segmented_box_streams_its_first_words():
+    # the whole (3, 16) box holds 1.4 million words; the first 40 need none of them
+    tracemalloc.start()
+    try:
+        first = list(islice(segmented_box(3, 16), 40))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(first) == 40 and peak < 8 * 2**20
+    assert [len(it.word) for it in first] == sorted(len(it.word) for it in first)
+
+
 @pytest.mark.parametrize("family, args", [
     ("words", ("ab", 3)), ("segmented", (2, 1)), ("segmented", (1, 2, 0, 1)),
     ("triple", (2,)), ("selector", (2, 1)), ("selector", (3, 1, 0)), ("paired", (2, 1)),
@@ -625,6 +642,17 @@ def test_walk_node_cap_exhausts():
     full = compare_nets_walk(p, pr, max_len=10, node_cap=100_000)
     assert full.verdict == "right-only"
     assert full.counterexample == ("a",)
+
+
+def test_walk_node_counts_are_pinned():
+    # the frontier after a prefix is the unique antichain of its maximal
+    # vectors, so the number of joint nodes depends on the nets alone
+    rep = compare_nets_walk(build_selector_dcn(3), build_selector_ncn(3), 12)
+    assert (rep.verdict, rep.checked) == ("equal", 1547)
+    for net, nodes in ((build_paired_dcn(3), 781), (build_selector_dcn(3), 946)):
+        factors = [project(net, i) for i in range(1, net.dimension + 1)]
+        rep = check_decomposition(net, factors, all_words(net.alphabet, 10))
+        assert (rep.verdict, rep.checked) == ("equal", nodes)
 
 
 def brute_first_mismatch(a, b, max_len):

@@ -9,15 +9,15 @@ from counternet.core import (
     Config,
     CounterNet,
     EnumerationCapError,
+    FrontierGraph,
     InvalidNetError,
     Transition,
+    _maximal,
     accepts,
     accepts_naive,
-    antichain_insert,
     enumerate_accepting_runs,
     enumerate_runs,
     initial_frontier,
-    is_antichain,
     is_deterministic,
     is_valid_n_run,
     max_positive_update,
@@ -27,7 +27,7 @@ from counternet.core import (
     step_frontier,
     validate,
 )
-from counternet.analysis import all_words
+from counternet.analysis import all_words, segmented_box
 from counternet.zoo import (
     build_coarse_factors,
     build_paired_dcn,
@@ -136,33 +136,54 @@ def test_run_effect_via_replay():
 
 # --- frontier membership ------------------------------------------------
 
-def test_antichain_insert_drops_dominated():
-    vs = {(2, 2)}
-    antichain_insert(vs, (1, 1))
-    assert vs == {(2, 2)}
+def _dominates(u, v) -> bool:
+    return all(a >= b for a, b in zip(u, v))
 
 
-def test_antichain_insert_replaces_dominated():
-    vs = {(1, 1), (0, 3)}
-    antichain_insert(vs, (2, 2))
-    assert vs == {(2, 2), (0, 3)}
+def is_antichain(vectors) -> bool:
+    return not any(_dominates(u, v) or _dominates(v, u)
+                   for u, v in itertools.combinations(list(vectors), 2))
 
 
-def test_antichain_insert_keeps_incomparable():
-    vs = {(2, 0)}
-    antichain_insert(vs, (0, 2))
-    assert vs == {(2, 0), (0, 2)}
+def _insert_fold(net, frontier, letter):
+    """The frontier step as an insert-and-evict fold over the transitions,
+    the reference step_frontier is checked against."""
+    out = {}
+    for state, vectors in frontier.items():
+        for t in net.transitions:
+            if t.source != state or t.letter != letter:
+                continue
+            bucket = out.setdefault(t.target, set())
+            for v in vectors:
+                w = tuple(a + e for a, e in zip(v, t.effect))
+                if min(w, default=0) < 0 or any(_dominates(u, w) for u in bucket):
+                    continue
+                bucket -= {u for u in bucket if _dominates(w, u)}
+                bucket.add(w)
+    return {q: vs for q, vs in out.items() if vs}
 
 
-@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=12))
-def test_antichain_insert_always_yields_antichain(vectors):
-    acc: set = set()
+@given(st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)), max_size=20))
+def test_maximal_is_an_antichain_dominating_its_input(vectors):
+    kept = _maximal(vectors)
+    assert isinstance(kept, frozenset) and kept <= vectors
+    assert is_antichain(kept)
     for v in vectors:
-        antichain_insert(acc, v)
-    assert is_antichain(acc)
-    # every inserted vector is dominated by something kept
-    for v in vectors:
-        assert any(all(k >= x for k, x in zip(kept, v)) for kept in acc)
+        assert any(_dominates(k, v) for k in kept)
+
+
+def test_step_frontier_matches_the_insert_fold_on_random_nets():
+    rng = random.Random(2307)
+    for dim in range(5):
+        for _ in range(12):
+            net = random_cn(rng, dim=dim, max_states=4)
+            start = initial_frontier(net, tuple(rng.randint(0, 3) for _ in range(dim)))
+            for w in itertools.product(sorted(net.alphabet), repeat=5):
+                ours, ref = start, start
+                for letter in w:
+                    ours, ref = step_frontier(net, ours, letter), _insert_fold(net, ref, letter)
+                    assert ours == ref
+                    assert all(isinstance(vs, frozenset) for vs in ours.values())
 
 
 def test_step_frontier_partition_net():
@@ -294,6 +315,7 @@ def test_prefix_acceptor_matches_accepts_on_random_nets():
             for order in (words, shuffled):
                 decide = prefix_acceptor(net, initial)
                 assert [decide(w) for w in order] == [accepts(net, w, initial) for w in order]
+            assert FrontierGraph(net, initial).words(6) == {w for w in words if accepts(net, w, initial)}
 
 
 def test_prefix_acceptor_steps_each_prefix_once(monkeypatch):
@@ -325,6 +347,32 @@ def test_prefix_acceptor_rejects_a_bad_initial_vector():
         prefix_acceptor(p, (-1, 0))
     with pytest.raises(ValueError):
         prefix_acceptor(p, (0,))
+
+
+def test_frontier_graph_holds_one_frontier_per_prefix_of_a_growing_counter():
+    # x: +1 in one state reaches a new frontier per letter, one per prefix
+    up = validate(CounterNet("up", 1, frozenset("x"), ("q",), ("q",), ("q",),
+                             (Transition("q", "x", (1,), "q"),)))
+    graph = FrontierGraph(up)
+    for n in range(30):
+        assert graph.accepts(("x",) * n)
+        assert len(graph.frontiers) == n + 1
+    assert graph.frontiers[7] == {"q": {(7,)}}
+
+
+def test_frontier_graph_holds_distinct_frontiers_of_a_sweep(monkeypatch):
+    import counternet.core as core_mod
+    calls = []
+    real = core_mod.step_frontier
+    monkeypatch.setattr(core_mod, "step_frontier",
+                        lambda net, frontier, letter: calls.append(letter) or real(net, frontier, letter))
+    p = build_partition_net()
+    words = [item.word for item in segmented_box(3, 6)]
+    graph = FrontierGraph(p)
+    answers = [graph.accepts(w) for w in words]
+    assert (len(graph.frontiers), len(calls)) == (1_224, 1_741)
+    assert len({w[:i] for w in words for i in range(1, len(w) + 1)}) == 19_941
+    assert answers[::97] == [accepts(p, w) for w in words[::97]]
 
 
 def test_step_table_is_kept_on_the_net_and_ignored_by_equality():

@@ -4,11 +4,9 @@ import random
 import pytest
 
 from counternet.analysis import all_words
-from counternet.core import CounterNet, Transition, accepts, validate
+from counternet.core import CounterNet, FrontierGraph, Transition, accepts, validate
 from counternet.vas import (
     VAS_STATE,
-    _flat_language,
-    _language_by_paths,
     check_gating,
     classify_control,
     distinct_label,
@@ -107,7 +105,7 @@ def test_vasify_single_transition():
 
 def test_vasify_flat_language_is_one_protocol():
     result = vasify(single_step_net())
-    words = _flat_language(result, 4)
+    words = FrontierGraph(result.net, result.initial).words(4)
     assert words == {
         (),
         ("x_1",),
@@ -125,10 +123,10 @@ def test_path_languages_match_membership_on_random_nets():
         result = vasify(labels.net)
         lab = {item.word for item in all_words(labels.net.alphabet, 4)
                if accepts(labels.net, item.word)}
-        assert _language_by_paths(labels.net, 4) == lab
+        assert FrontierGraph(labels.net).words(4) == lab
         flat = {item.word for item in all_words(result.net.alphabet, 3)
                 if accepts(result.net, item.word, initial=result.initial)}
-        assert _flat_language(result, 3) == flat
+        assert FrontierGraph(result.net, result.initial).words(3) == flat
 
 
 def test_vasify_protocol_walks_the_patterns():
