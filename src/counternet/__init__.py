@@ -34,6 +34,7 @@ from .constructions import (
     product,
     product_all,
     project,
+    trim,
     union,
 )
 from .analysis import (

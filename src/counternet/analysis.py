@@ -30,7 +30,7 @@ from .core import (
     replay,
 )
 from . import zoo
-from .constructions import product_all
+from .constructions import product_all, trim
 from .zoo import (
     PairedBlockWord,
     SegmentedWord,
@@ -108,12 +108,11 @@ def classify_effect(effect: Vector) -> str:
     return SIGN_MIXED
 
 
-def effect_nonneg(effect: Vector) -> bool:
-    return all(x >= 0 for x in effect)
-
-
-def effect_positive(effect: Vector) -> bool:
-    return bool(effect) and all(x > 0 for x in effect)
+# the sign classes that meet each sign a pumpable cycle can be required to have
+_MEETS = {
+    SIGN_POSITIVE: frozenset({SIGN_POSITIVE}),
+    SIGN_NONNEGATIVE: frozenset({SIGN_POSITIVE, SIGN_NONNEGATIVE}),
+}
 
 
 def find_cycles(run: Run, scope: Optional[tuple[int, int]] = None) -> list[CycleWitness]:
@@ -182,16 +181,13 @@ def extract_pumpable_cycle(
         raise ValueError("scope out of range")
     if len({t.letter for t in run.transitions[lo:hi]}) > 1:
         raise ValueError("scope must read a single repeated letter")
-    if required == SIGN_POSITIVE:
-        want = effect_positive
-    elif required == SIGN_NONNEGATIVE:
-        want = effect_nonneg
-    else:
+    if required not in _MEETS:
         raise ValueError(f"unknown required sign {required!r}")
+    meets = _MEETS[required]
     if lo == hi or run.configs[lo].state != run.configs[hi].state:
         return None  # scope does not close a cycle
     total = tuple(b - a for a, b in zip(run.configs[lo].counters, run.configs[hi].counters))
-    if not want(total):
+    if classify_effect(total) not in meets:
         return None
 
     states = [run.configs[i].state for i in range(lo, hi + 1)]
@@ -221,7 +217,7 @@ def extract_pumpable_cycle(
             return None  # unreachable while the working copy closes a cycle
         piece = trans[j1:j2]
         eff = cycle_effect(piece)
-        if want(eff):
+        if classify_effect(eff) in meets:
             return PumpableCycle(tuple(piece), eff, orig[j1], tuple(orig[j1:j2 + 1]))
         if (j1, j2) == (0, n):
             # splicing preserves the required sign of the total, so for
@@ -300,13 +296,8 @@ class RunForm:
 
 
 def _span_colour(run: Run, lo: int, hi: int) -> SpanColour:
-    has_pos = has_nonneg = False
-    for w in find_cycles(run, (lo, hi)):
-        if effect_positive(w.effect):
-            has_pos = True
-        if effect_nonneg(w.effect):
-            has_nonneg = True
-    return SpanColour(has_pos, has_nonneg)
+    signs = {w.sign_class for w in find_cycles(run, (lo, hi))}
+    return SpanColour(SIGN_POSITIVE in signs, not signs.isdisjoint(_MEETS[SIGN_NONNEGATIVE]))
 
 
 def segment_spans(word: SegmentedWord) -> tuple[list[tuple[int, int]], tuple[int, int], tuple[int, int]]:
@@ -768,11 +759,12 @@ def refute_partition_decomposition(
 
     enumerate: sweep all segmented words with up to k+1 segments and
     parameters up to `box` in graded order, comparing the factor
-    conjunction against the subset-sum oracle.  guided: find a segment
-    every factor can pump (bad in all factors), build per-factor pump
-    families, combine their coefficients by products into global pump
-    amounts, and grow n until the oracle rejects the pumped word while
-    every factor still accepts.  Both re-verify any word they return.
+    conjunction against the subset-sum oracle.  guided: on the trimmed
+    factors, find a segment every factor can pump (bad in all factors),
+    build per-factor pump families, combine their coefficients by
+    products into global pump amounts, and grow n until the oracle
+    rejects the pumped word while every factor still accepts.  Both
+    re-verify any word they return against the factors as given.
     """
     for f in factors:
         if f.dimension != 1:
@@ -797,9 +789,11 @@ def _refute_enumerate(factors: Sequence[CounterNet], k: int, box: int) -> Refute
     return RefuterResult("counterexample", rep.counterexample, rep.params, side, stats)
 
 
-def _refute_guided(factors: Sequence[CounterNet], k: int, caps: SearchCaps) -> RefuterResult:
+def _refute_guided(given: Sequence[CounterNet], k: int, caps: SearchCaps) -> RefuterResult:
+    # states off every accepting path only inflate the |Q|! period
+    factors = [trim(f) for f in given]
     t = k + 1
-    period = pump_period(list(factors))
+    period = pump_period(factors)
     stats: dict = {"period": period, "witness_words": 0}
     witnesses: dict[int, list[BadSegmentWitness]] = {}
     for segment in range(1, t + 1):
@@ -841,7 +835,7 @@ def _refute_guided(factors: Sequence[CounterNet], k: int, caps: SearchCaps) -> R
         stats[f"segment_{segment}_pumps"] = (gx, gy, gz)
         for n in range(1, caps.n_cap + 1):
             sw = grow_word(base, segment, gx * n, gy * n, gz * n)
-            side = _verify_counterexample(factors, sw)
+            side = _verify_counterexample(given, sw)
             if side == "intersection-only":
                 stats["n"] = n
                 stats["segment"] = segment

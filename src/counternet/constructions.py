@@ -1,6 +1,7 @@
-"""Composing counter nets: synchronous product, coordinate projection,
-disjoint union, dimension lifting, and the containment gadget that turns
-a one-counter containment question into a language decomposition question.
+"""Composing counter nets: synchronous product, trimming, coordinate
+projection, disjoint union, dimension lifting, and the containment gadget
+that turns a one-counter containment question into a language
+decomposition question.
 """
 
 from __future__ import annotations
@@ -38,14 +39,14 @@ def product(a: CounterNet, b: CounterNet) -> CounterNet:
     while queue:
         p, q = queue.popleft()
         for letter in letters:
-            for effect_a, target_a in a.step_table.get((p, letter), ()):
-                for effect_b, target_b in b.step_table.get((q, letter), ()):
-                    nxt = (target_a, target_b)
+            for ta in a.step_table.get((p, letter), ()):
+                for tb in b.step_table.get((q, letter), ()):
+                    nxt = (ta.target, tb.target)
                     if nxt not in seen:
                         seen[nxt] = pair_id(*nxt)
                         order.append(nxt)
                         queue.append(nxt)
-                    transitions.append(Transition(seen[(p, q)], letter, effect_a + effect_b, seen[nxt]))
+                    transitions.append(Transition(seen[(p, q)], letter, ta.effect + tb.effect, seen[nxt]))
     rank = {seen[pair]: i for i, pair in enumerate(order)}
     transitions.sort(key=lambda t: (rank[t.source], t.letter, rank[t.target]))
     return validate(CounterNet(
@@ -68,6 +69,41 @@ def product_all(nets: Sequence[CounterNet]) -> CounterNet:
     for net in nets[1:]:
         acc = product(acc, net)
     return acc
+
+
+def trim(net: CounterNet) -> CounterNet:
+    """Drop the states no accepting run can visit: keep the initial states
+    and every state on some path from an initial to an accepting state of
+    the transition graph, counters ignored, with the transitions between
+    kept states.  The language is unchanged.  Returns net itself when
+    nothing drops."""
+    succ: dict[str, set[str]] = {}
+    pred: dict[str, set[str]] = {}
+    for t in net.transitions:
+        succ.setdefault(t.source, set()).add(t.target)
+        pred.setdefault(t.target, set()).add(t.source)
+
+    def reach(start: frozenset[str], edges: dict[str, set[str]]) -> set[str]:
+        seen, todo = set(start), list(start)
+        while todo:
+            for r in edges.get(todo.pop(), ()):
+                if r not in seen:
+                    seen.add(r)
+                    todo.append(r)
+        return seen
+
+    keep = net.initial | (reach(net.initial, succ) & reach(net.accepting, pred))
+    if len(keep) == len(net.states):
+        return net
+    return validate(CounterNet(
+        name=f"trim({net.name})",
+        dimension=net.dimension,
+        alphabet=net.alphabet,
+        states=tuple(q for q in net.states if q in keep),
+        initial=net.initial,
+        accepting=net.accepting & keep,
+        transitions=tuple(t for t in net.transitions if t.source in keep and t.target in keep),
+    ))
 
 
 def project(net: CounterNet, coordinate: int) -> CounterNet:

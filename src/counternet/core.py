@@ -63,13 +63,13 @@ class CounterNet:
         object.__setattr__(self, "transitions", tuple(self.transitions))
 
     @cached_property
-    def step_table(self) -> dict[tuple[str, str], tuple[tuple[Vector, str], ...]]:
-        """(state, letter) -> ((effect, target), ...) in declaration order,
-        built on first use and kept on the instance (not a field: equality
-        and hashing ignore it)."""
-        table: dict[tuple[str, str], list[tuple[Vector, str]]] = {}
+    def step_table(self) -> dict[tuple[str, str], tuple[Transition, ...]]:
+        """(state, letter) -> the transitions leaving state on letter, in
+        declaration order, built on first use and kept on the instance (not
+        a field: equality and hashing ignore it)."""
+        table: dict[tuple[str, str], list[Transition]] = {}
         for t in self.transitions:
-            table.setdefault((t.source, t.letter), []).append((t.effect, t.target))
+            table.setdefault((t.source, t.letter), []).append(t)
         return {k: tuple(v) for k, v in table.items()}
 
 
@@ -141,15 +141,7 @@ def validate(net: CounterNet) -> CounterNet:
 
 def is_deterministic(net: CounterNet) -> bool:
     """Single initial state and at most one transition per (state, letter)."""
-    if len(net.initial) != 1:
-        return False
-    seen = set()
-    for t in net.transitions:
-        key = (t.source, t.letter)
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
+    return len(net.initial) == 1 and len(net.step_table) == len(net.transitions)
 
 
 def max_positive_update(net: CounterNet) -> int:
@@ -221,8 +213,8 @@ def step_frontier(net: CounterNet, frontier: Frontier, letter: str) -> Frontier:
     table = net.step_table
     out: dict[str, set[Vector]] = {}
     for state, vectors in frontier.items():
-        for effect, target in table.get((state, letter), ()):
-            bucket = out.setdefault(target, set())
+        for t in table.get((state, letter), ()):
+            bucket, effect = out.setdefault(t.target, set()), t.effect
             for v in vectors:
                 w = tuple(a + e for a, e in zip(v, effect))
                 if all(x >= 0 for x in w):
@@ -307,6 +299,8 @@ class FrontierGraph:
     def words(self, max_len: int) -> set[Word]:
         """Every accepted word of at most max_len letters, depth first over
         the graph without extending an empty frontier."""
+        if max_len < 0:
+            raise ValueError(f"word length bound must be >= 0, got {max_len}")
         letters = sorted(self.net.alphabet)
         found: set[Word] = set()
         stack: list[tuple[int, Word]] = [(0, ())]
@@ -365,49 +359,6 @@ def accepts_naive(
     return False
 
 
-def walk_paths(
-    net: CounterNet,
-    start_state: str,
-    initial: Sequence[int],
-    word: Sequence[str],
-) -> Iterator[tuple[list[Config], list[Transition]]]:
-    """Every N-path reading a prefix of word from (start_state, initial),
-    depth first by ascending transition declaration index.  Yields the
-    live (configs, transitions) lists at every node, root first; the walk
-    changes them in place, so a caller copies what it keeps."""
-    v0 = tuple(int(x) for x in initial)
-    if any(x < 0 for x in v0):
-        raise ValueError("initial vector must be non-negative")
-    letters = tuple(word)
-    table: dict[tuple[str, str], list[Transition]] = {}
-    for t in net.transitions:
-        table.setdefault((t.source, t.letter), []).append(t)
-
-    def moves(state: str, depth: int) -> Iterator[Transition]:
-        return iter(table.get((state, letters[depth]), ()) if depth < len(letters) else ())
-
-    configs = [Config(start_state, v0)]
-    transitions: list[Transition] = []
-    stack = [moves(start_state, 0)]  # one iterator of untried moves per node
-    yield configs, transitions
-    while stack:
-        here = configs[-1]
-        for t in stack[-1]:
-            nxt = tuple(a + e for a, e in zip(here.counters, t.effect))
-            if any(x < 0 for x in nxt):
-                continue
-            configs.append(Config(t.target, nxt))
-            transitions.append(t)
-            yield configs, transitions
-            stack.append(moves(t.target, len(transitions)))
-            break
-        else:
-            stack.pop()
-            if transitions:
-                configs.pop()
-                transitions.pop()
-
-
 def enumerate_runs(
     net: CounterNet,
     word: Sequence[str],
@@ -419,12 +370,32 @@ def enumerate_runs(
     """All N-runs on word from (start_state, initial), depth first by
     ascending transition declaration index, up to cap runs."""
     w = tuple(word)
+    v0 = tuple(int(x) for x in initial)
+    if any(x < 0 for x in v0):
+        raise ValueError("initial vector must be non-negative")
+    table = net.step_table
     runs: list[Run] = []
-    for configs, transitions in walk_paths(net, start_state, initial, w):
-        if len(transitions) == len(w) and (not accepting_only or configs[-1].state in net.accepting):
-            if len(runs) >= cap:
-                return RunEnumeration(tuple(runs), True)
-            runs.append(Run(tuple(configs), tuple(transitions)))
+    configs = [Config(start_state, v0)]  # the path to the current node
+    transitions: list[Transition] = []
+    stack: list[Iterator[Transition]] = []  # untried moves of each node on the path
+    while configs:
+        here, depth = configs[-1], len(transitions)
+        if len(stack) < len(configs):  # first visit
+            if depth == len(w) and (not accepting_only or here.state in net.accepting):
+                if len(runs) >= cap:
+                    return RunEnumeration(tuple(runs), True)
+                runs.append(Run(tuple(configs), tuple(transitions)))
+            stack.append(iter(table.get((here.state, w[depth]), ()) if depth < len(w) else ()))
+        for t in stack[-1]:
+            nxt = tuple(a + e for a, e in zip(here.counters, t.effect))
+            if all(x >= 0 for x in nxt):
+                configs.append(Config(t.target, nxt))
+                transitions.append(t)
+                break
+        else:
+            stack.pop()
+            configs.pop()
+            del transitions[-1:]  # the root has no incoming transition
     return RunEnumeration(tuple(runs), False)
 
 
@@ -439,16 +410,13 @@ def enumerate_accepting_runs(
     declaration index."""
     v0 = _initial_vector(net, initial)
     runs: list[Run] = []
-    truncated = False
     for q in net.states:
-        if q not in net.initial:
-            continue
-        sub = enumerate_runs(net, word, q, v0, accepting_only=True, cap=cap - len(runs))
-        runs.extend(sub.runs)
-        truncated = truncated or sub.truncated
-        if truncated:
-            break
-    return RunEnumeration(tuple(runs), truncated)
+        if q in net.initial:
+            sub = enumerate_runs(net, word, q, v0, accepting_only=True, cap=cap - len(runs))
+            runs.extend(sub.runs)
+            if sub.truncated:
+                return RunEnumeration(tuple(runs), True)
+    return RunEnumeration(tuple(runs), False)
 
 
 def replay(

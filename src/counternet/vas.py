@@ -95,9 +95,12 @@ class TripletInfo:
 
 @dataclass(frozen=True)
 class VasResult:
+    """The flattened net and its start vector.  patterns maps the control
+    coordinates of every rest and intermediate pattern to (pattern, state)."""
+
     net: CounterNet
     initial: Vector
-    codes: dict[str, tuple[int, int]]
+    patterns: dict[Vector, tuple[str, str]]
     triplets: tuple[TripletInfo, ...]
     source: CounterNet
 
@@ -112,49 +115,35 @@ def vasify(net: CounterNet) -> VasResult:
     """Flatten a deterministic k-net with a single initial state into an
     equivalent-up-to-protocol single-state (k+3)-net.
 
+    With (a_i, b_i) the codes of q_i and (a', b') those of its mirror
+    index n+1-i, each state has three patterns in the added coordinates:
+
+        rest(q_i) = (a_i, b_i, 0),  mid1(q_i) = (0, a', b'),  mid2(q_i) = (b_i, 0, a_i).
+
     Each original transition (q_i, s, x, q_j) is simulated by letters
-    s_1 s_2 s_3 with control effects, in the three added coordinates:
-
-        s_1: (-a_i,  a_{n+1-i} - b_i,  b_{n+1-i})
-        s_2: ( b_i, -a_{n+1-i},        a_i - b_{n+1-i})
-        s_3: ( a_j - b_i,  b_j,       -a_i)            plus x on the
-                                                       original coordinates.
-
-    Summing the three restores the rest pattern (a_j, b_j, 0), so each
-    completed protocol moves the encoded state from q_i to q_j.  The
-    intermediate patterns after s_1 and s_2 enable exactly the next
-    phase of transitions leaving q_i and nothing else.
+    s_1 s_2 s_3 whose control effects are the pattern differences
+    mid1(q_i) - rest(q_i), mid2(q_i) - mid1(q_i) and rest(q_j) - mid2(q_i),
+    the last plus x on the original coordinates.  A completed protocol
+    moves the encoded state from q_i to q_j, and the intermediate patterns
+    enable exactly the next phase of transitions leaving q_i and nothing
+    else.
     """
     if not is_deterministic(net):
         raise ValueError("flattening requires a deterministic net")
     if len(net.initial) != 1:
         raise ValueError("flattening requires a single initial state")
-    n = len(net.states)
-    codes = state_codes(n)
-    index = {q: i for i, q in enumerate(net.states)}  # 0-based
-    k = net.dimension
-
-    def control(q: str) -> tuple[int, int, int, int]:
-        """(a_i, b_i, a_{n+1-i}, b_{n+1-i}) for the 1-based index of q."""
-        i = index[q] + 1
-        a_i, b_i = codes[i - 1]
-        a_m, b_m = codes[n - i]  # the mirror index n+1-i, 1-based
-        return a_i, b_i, a_m, b_m
+    codes = state_codes(len(net.states))
+    control = {q: ((a, b, 0), (0, *codes[-1 - i]), (b, 0, a))  # rest, mid1, mid2
+               for i, (q, (a, b)) in enumerate(zip(net.states, codes))}
+    zeros = (0,) * net.dimension
 
     transitions: list[Transition] = []
     triplets: list[TripletInfo] = []
-    zeros = (0,) * k
     for t in net.transitions:
-        a_i, b_i, a_m, b_m = control(t.source)
-        j = index[t.target] + 1
-        a_j, b_j = codes[j - 1]
         letters = (f"{t.letter}_1", f"{t.letter}_2", f"{t.letter}_3")
-        phase_effects = (
-            zeros + (-a_i, a_m - b_i, b_m),
-            zeros + (b_i, -a_m, a_i - b_m),
-            tuple(t.effect) + (a_j - b_i, b_j, -a_i),
-        )
-        for letter, effect in zip(letters, phase_effects):
+        path = control[t.source] + control[t.target][:1]
+        for letter, before, after, x in zip(letters, path, path[1:], (zeros, zeros, t.effect)):
+            effect = x + tuple(b - a for a, b in zip(before, after))
             transitions.append(Transition(VAS_STATE, letter, effect, VAS_STATE))
         triplets.append(TripletInfo(t, letters))
 
@@ -162,20 +151,18 @@ def vasify(net: CounterNet) -> VasResult:
     if len(set(seen_letters)) != len(seen_letters):
         raise ValueError("transition letters must be distinct; relabel first")
 
-    start = next(iter(net.initial))
-    a_0, b_0 = codes[index[start]]
     flat = validate(CounterNet(
         name=f"{net.name}+flat",
-        dimension=k + 3,
+        dimension=net.dimension + 3,
         alphabet=frozenset(seen_letters),
         states=(VAS_STATE,),
         initial=frozenset({VAS_STATE}),
         accepting=frozenset({VAS_STATE}),
         transitions=tuple(transitions),
     ))
-    initial = zeros + (a_0, b_0, 0)
-    return VasResult(flat, initial, {q: codes[index[q]] for q in net.states},
-                     tuple(triplets), net)
+    start = next(iter(net.initial))
+    patterns = {p: (kind, q) for q, ps in control.items() for kind, p in zip(("rest", "mid1", "mid2"), ps)}
+    return VasResult(flat, zeros + control[start][0], patterns, tuple(triplets), net)
 
 
 def triplet_transform(word: Word, stop: int = 3) -> Word:
@@ -195,22 +182,9 @@ def triplet_transform(word: Word, stop: int = 3) -> Word:
 
 def classify_control(result: VasResult, valuation: Vector) -> Optional[tuple[str, str]]:
     """Match the last three coordinates against the rest and intermediate
-    patterns: rest(q) = (a, b, 0), mid1(q) = (0, a', b'), mid2(q) =
-    (b, 0, a) with (a', b') the mirror codes.  Returns (pattern, state)
-    or None.  The code scheme keeps the patterns pairwise distinct."""
-    tail = valuation[-3:]
-    n = len(result.source.states)
-    codes = state_codes(n)
-    for i, q in enumerate(result.source.states):
-        a_i, b_i = codes[i]
-        a_m, b_m = codes[n - 1 - i]
-        if tail == (a_i, b_i, 0):
-            return ("rest", q)
-        if tail == (0, a_m, b_m):
-            return ("mid1", q)
-        if tail == (b_i, 0, a_i):
-            return ("mid2", q)
-    return None
+    patterns.  Returns (pattern, state) or None.  The code scheme keeps
+    the patterns pairwise distinct."""
+    return result.patterns.get(tuple(valuation[-3:]))
 
 
 def enabled_letters(result: VasResult, valuation: Vector) -> set[str]:

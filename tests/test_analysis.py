@@ -43,7 +43,7 @@ from counternet.analysis import (
     selector_box,
     triple_box,
 )
-from counternet.core import CounterNet, Run, Transition, accepts, replay, validate
+from counternet.core import CounterNet, FrontierGraph, Run, Transition, accepts, replay, validate
 from counternet.constructions import project
 from counternet.zoo import (
     SEGMENT_ALPHABET,
@@ -596,6 +596,8 @@ def test_negative_length_bounds_are_rejected():
         all_words(SEGMENT_ALPHABET, -1)
     with pytest.raises(ValueError):
         compare_nets_walk(p, p, -1)
+    with pytest.raises(ValueError):
+        FrontierGraph(p).words(-1)
 
 
 @pytest.mark.parametrize("make", [
@@ -823,6 +825,26 @@ def test_refuter_guided_pumps_past_every_split():
     # every parameter of the emitted word is a multiple of the period
     assert all(m % 6 == 0 for m in sw.segments)
     assert sw.m_b % 6 == 0 and sw.m_c % 6 == 0
+
+
+def test_refuter_guided_ignores_states_off_every_accepting_path():
+    # padding grows |Q|!, and with it every word parameter, unless the
+    # refuter searches on trimmed factors
+    cb, cc = build_coarse_factors()
+    plain = refute_partition_decomposition([cb, cc], strategy="guided")
+    assert (len(plain.word), plain.stats["period"]) == (141, 6)
+
+    def padded(net, extra, dead_end):
+        pad = tuple(f"pad{i}" for i in range(extra))
+        dead = (Transition("seg", "b", (0,), pad[0]),) if dead_end else ()
+        return validate(CounterNet(net.name, net.dimension, net.alphabet, net.states + pad,
+                                   net.initial, net.accepting, net.transitions + dead))
+
+    for extra, dead_end in ((1, False), (2, False), (1, True)):
+        factors = [padded(f, extra, dead_end) for f in (cb, cc)]
+        res = refute_partition_decomposition(factors, strategy="guided")
+        assert (res.word, res.params, res.stats["period"]) == (plain.word, plain.params, 6)
+        assert all(accepts(f, res.word) for f in factors)
 
 
 def test_refuter_guided_gives_up_without_common_bad_segment():

@@ -13,6 +13,7 @@ from counternet.constructions import (
     product,
     product_all,
     project,
+    trim,
     union,
 )
 from counternet.core import CounterNet, Transition, accepts, validate
@@ -27,6 +28,21 @@ from randnets import LETTERS, random_cn, random_dcn
 def short_words(letters, max_len):
     for n in range(max_len + 1):
         yield from cartesian(letters, repeat=n)
+
+
+# --- trim -----------------------------------------------------------------
+
+def test_trim_keeps_the_language_on_random_nets():
+    rng = random.Random(2307)
+    shrank = 0
+    for _ in range(300):
+        net = random_cn(rng, dim=rng.randint(0, 2))
+        trimmed = trim(net)
+        assert trim(trimmed) is trimmed
+        shrank += trimmed is not net
+        for w in short_words(LETTERS, 4):
+            assert accepts(trimmed, w) == accepts(net, w), (net, w)
+    assert shrank > 0
 
 
 # --- product --------------------------------------------------------------

@@ -35,7 +35,7 @@ from counternet.zoo import (
     build_selector_ncn,
 )
 
-from randnets import random_cn
+from randnets import random_cn, random_dcn
 
 
 def word(text: str) -> tuple[str, ...]:
@@ -116,6 +116,23 @@ def test_selector_ncn_multiple_initials():
     net = build_selector_ncn(2)
     assert len(net.initial) == 2
     assert not is_deterministic(net)
+
+
+def test_is_deterministic_matches_a_seen_set_on_random_nets():
+    def by_seen_set(net):
+        seen = set()
+        for t in net.transitions:
+            if (t.source, t.letter) in seen:
+                return False
+            seen.add((t.source, t.letter))
+        return len(net.initial) == 1
+
+    rng = random.Random(2307)
+    nets = [make(rng, dim=rng.randint(0, 2), max_states=3)
+            for _ in range(200) for make in (random_cn, random_dcn)]
+    verdicts = [is_deterministic(net) for net in nets]
+    assert verdicts == [by_seen_set(net) for net in nets]
+    assert True in verdicts and False in verdicts
 
 
 def test_max_positive_update_partition_net():

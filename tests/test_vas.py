@@ -52,6 +52,35 @@ def test_code_patterns_are_distinct():
         assert len(patterns) == 3 * n, n
 
 
+def _closed_form_vasify(net):
+    """The flat transitions and start vector of vasify, written with the
+    closed-form phase effects over the codes (a_i, b_i) and the mirror
+    codes."""
+    n = len(net.states)
+    codes = state_codes(n)
+    index = {q: i for i, q in enumerate(net.states)}
+    zeros = (0,) * net.dimension
+    out = []
+    for t in net.transitions:
+        a_i, b_i = codes[index[t.source]]
+        a_m, b_m = codes[n - 1 - index[t.source]]
+        a_j, b_j = codes[index[t.target]]
+        effects = (zeros + (-a_i, a_m - b_i, b_m),
+                   zeros + (b_i, -a_m, a_i - b_m),
+                   t.effect + (a_j - b_i, b_j, -a_i))
+        out += [Transition(VAS_STATE, f"{t.letter}_{p}", e, VAS_STATE) for p, e in enumerate(effects, 1)]
+    start = next(iter(net.initial))
+    return tuple(out), zeros + codes[index[start]] + (0,)
+
+
+def test_vasify_matches_the_closed_form_effects_on_random_nets():
+    rng = random.Random(2307)
+    for _ in range(200):
+        net = distinct_label(random_dcn(rng, dim=rng.randint(0, 2))).net
+        result = vasify(net)
+        assert (result.net.transitions, result.initial) == _closed_form_vasify(net)
+
+
 # --- distinct labelling --------------------------------------------------------
 
 def test_distinct_label_fresh_letters():
