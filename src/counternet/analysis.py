@@ -190,42 +190,25 @@ def extract_pumpable_cycle(
     if classify_effect(total) not in meets:
         return None
 
-    states = [run.configs[i].state for i in range(lo, hi + 1)]
+    width = len({c.state for c in run.configs[lo:hi + 1]})
     trans = list(run.transitions[lo:hi])
     orig = list(range(lo, hi + 1))  # original config index of each working config
-
-    def cycle_effect(ts: Sequence[Transition]) -> Vector:
-        dim = len(ts[0].effect)
-        acc = [0] * dim
-        for t in ts:
-            for d in range(dim):
-                acc[d] += t.effect[d]
-        return tuple(acc)
-
     while True:
-        n = len(trans)
-        # latest-starting repeated state pair; unique end once start is maximal
-        j1 = j2 = -1
-        for i in range(n - 1, -1, -1):
-            for j in range(i + 1, n + 1):
-                if states[i] == states[j]:
-                    j1, j2 = i, j
-                    break
-            if j1 >= 0:
-                break
-        if j1 < 0:
-            return None  # unreachable while the working copy closes a cycle
-        piece = trans[j1:j2]
-        eff = cycle_effect(piece)
-        if classify_effect(eff) in meets:
-            return PumpableCycle(tuple(piece), eff, orig[j1], tuple(orig[j1:j2 + 1]))
-        if (j1, j2) == (0, n):
+        # any width + 1 configs repeat a state, so the latest-starting
+        # repetition lies in the tail window and is its last witness;
+        # regime Z as effects are differences and a splice can lower a coordinate
+        off = max(0, len(trans) - width)
+        tail = trans[off:]
+        w = find_cycles(replay(tail[0].source, run.configs[lo].counters, tail, "Z"))[-1]
+        i, j = off + w.start, off + w.end
+        if w.sign_class in meets:
+            return PumpableCycle(tuple(trans[i:j]), w.effect, orig[i], tuple(orig[i:j + 1]))
+        if (i, j) == (0, len(trans)):
             # splicing preserves the required sign of the total, so for
             # one-counter runs this branch cannot be reached
             return None
-        del states[j1:j2]
-        del trans[j1:j2]
-        del orig[j1:j2]
+        del trans[i:j]
+        del orig[i:j]
 
 
 def pump_run(
@@ -415,12 +398,9 @@ def find_bad_segment_witness(
     return WitnessSearch(None, inconclusive, tried)
 
 
-def _graded_tuples(arity: int, cap: int) -> Iterator[tuple[int, ...]]:
+def _graded_tuples(arity: int, cap: int) -> list[tuple[int, ...]]:
     """Tuples over 1..cap ordered by coordinate sum, then lexicographic."""
-    for total in range(arity, arity * cap + 1):
-        for tup in itertools.product(range(1, cap + 1), repeat=arity):
-            if sum(tup) == total:
-                yield tup
+    return sorted(itertools.product(range(1, cap + 1), repeat=arity), key=lambda t: (sum(t), t))
 
 
 @dataclass(frozen=True)
@@ -796,20 +776,26 @@ def _refute_guided(given: Sequence[CounterNet], k: int, caps: SearchCaps) -> Ref
     period = pump_period(factors)
     stats: dict = {"period": period, "witness_words": 0}
     witnesses: dict[int, list[BadSegmentWitness]] = {}
+    cut = False  # a search that found nothing stopped at run_cap
     for segment in range(1, t + 1):
         per_factor = []
         for f in factors:
             search = find_bad_segment_witness(f, segment, t, period, caps)
             stats["witness_words"] += search.words_tried
             if search.witness is None:
+                cut = cut or search.inconclusive
                 per_factor = []
                 break
             per_factor.append(search.witness)
         if per_factor:
             witnesses[segment] = per_factor
-    if not witnesses:
-        stats["reason"] = "no segment is bad in every factor"
+
+    def exhausted(reason: str) -> RefuterResult:
+        stats["reason"] = "run_cap cut the witness search" if cut else reason
         return RefuterResult("exhausted", None, None, None, stats)
+
+    if not witnesses:
+        return exhausted("no segment is bad in every factor")
 
     for segment, per_factor in sorted(witnesses.items()):
         families = []
@@ -840,5 +826,4 @@ def _refute_guided(given: Sequence[CounterNet], k: int, caps: SearchCaps) -> Ref
                 stats["n"] = n
                 stats["segment"] = segment
                 return RefuterResult("counterexample", render_segmented(sw), sw, side, stats)
-    stats["reason"] = "pumped words stayed inside the oracle language"
-    return RefuterResult("exhausted", None, None, None, stats)
+    return exhausted("pumped words stayed inside the oracle language")

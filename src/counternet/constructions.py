@@ -220,40 +220,23 @@ def build_reduction(a: CounterNet, b: CounterNet) -> CounterNet:
         raise ValueError("input alphabet must avoid a, b, c, #, $")
 
     part = build_partition_net()
-    la = {q: f"A.{q}" for q in a.states}
-    lb = {q: f"B.{q}" for q in b.states}
+    both = union(lift(a, 2), lift(b, 2))
+    la = dict(zip(a.states, both.states))
+    lb = dict(zip(b.states, both.states[len(a.states):]))
     lp = {q: f"P.{q}" for q in part.states}
-    sink = "sink"
-    alphabet = a.alphabet | reserved
-    zero2 = (0, 0)
-
-    transitions: list[Transition] = []
-    for t in a.transitions:
-        transitions.append(Transition(la[t.source], t.letter, (t.effect[0], 0), la[t.target]))
-    for t in b.transitions:
-        transitions.append(Transition(lb[t.source], t.letter, (t.effect[0], 0), lb[t.target]))
-    for t in part.transitions:
-        transitions.append(Transition(lp[t.source], t.letter, t.effect, lp[t.target]))
-    for q in a.states:
-        if q in a.accepting:
-            for p0 in part.states:
-                if p0 in part.initial:
-                    transitions.append(Transition(la[q], GADGET_SEPARATOR, zero2, lp[p0]))
-    for q in b.states:
-        if q in b.accepting:
-            transitions.append(Transition(lb[q], GADGET_SEPARATOR, zero2, sink))
-    for letter in sorted(SEGMENT_ALPHABET):
-        transitions.append(Transition(sink, letter, zero2, sink))
-
-    states = tuple(la[q] for q in a.states) + tuple(lb[q] for q in b.states) \
-        + tuple(lp[q] for q in part.states) + (sink,)
+    sink, zero2 = "sink", (0, 0)
+    transitions = [*both.transitions]
+    transitions += (Transition(lp[t.source], t.letter, t.effect, lp[t.target]) for t in part.transitions)
+    transitions += (Transition(la[q], GADGET_SEPARATOR, zero2, lp[p0]) for q in a.states if q in a.accepting
+                    for p0 in part.states if p0 in part.initial)
+    transitions += (Transition(lb[q], GADGET_SEPARATOR, zero2, sink) for q in b.states if q in b.accepting)
+    transitions += (Transition(sink, letter, zero2, sink) for letter in sorted(SEGMENT_ALPHABET))
     return validate(CounterNet(
         name=f"gadget({a.name},{b.name})",
         dimension=2,
-        alphabet=alphabet,
-        states=states,
-        initial=tuple(la[q] for q in a.states if q in a.initial)
-        + tuple(lb[q] for q in b.states if q in b.initial),
+        alphabet=a.alphabet | reserved,
+        states=both.states + tuple(lp[q] for q in part.states) + (sink,),
+        initial=both.initial,
         accepting=tuple(lp[q] for q in part.states if q in part.accepting) + (sink,),
         transitions=tuple(transitions),
     ))

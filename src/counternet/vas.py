@@ -130,8 +130,6 @@ def vasify(net: CounterNet) -> VasResult:
     """
     if not is_deterministic(net):
         raise ValueError("flattening requires a deterministic net")
-    if len(net.initial) != 1:
-        raise ValueError("flattening requires a single initial state")
     codes = state_codes(len(net.states))
     control = {q: ((a, b, 0), (0, *codes[-1 - i]), (b, 0, a))  # rest, mid1, mid2
                for i, (q, (a, b)) in enumerate(zip(net.states, codes))}
@@ -330,8 +328,7 @@ def verify_pipeline(
                 failures.append(pref)
 
     flat_words = flat.words(flat_len)
-    closed_images = {triplet_transform(w, s) for w in lab_words for s in (1, 2, 3) if w}
-    closed_images.add(())
+    closed_images = expanded | {()}
     extras = sorted((w for w in flat_words if w not in closed_images),
                     key=lambda x: (len(x), x))
 

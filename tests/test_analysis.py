@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from itertools import islice, product as cartesian
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -229,6 +230,68 @@ def test_extract_input_errors():
     single = make_run("A", (0,), [("s", (1,), "A")])
     with pytest.raises(ValueError):
         extract_pumpable_cycle(single, required="bogus")
+
+
+def _extract_by_nested_scan(run, scope, required):
+    """Reference for extract_pumpable_cycle after its input checks: scan
+    the working copy from the end for the latest-starting repeated state,
+    return that piece if its summed effect meets the sign, else splice it
+    out and scan again."""
+    lo, hi = scope if scope is not None else (0, len(run.configs) - 1)
+    meets = {SIGN_POSITIVE} if required == SIGN_POSITIVE else {SIGN_POSITIVE, SIGN_NONNEGATIVE}
+    if lo == hi or run.configs[lo].state != run.configs[hi].state:
+        return None
+    total = tuple(b - a for a, b in zip(run.configs[lo].counters, run.configs[hi].counters))
+    if classify_effect(total) not in meets:
+        return None
+    states = [run.configs[i].state for i in range(lo, hi + 1)]
+    trans = list(run.transitions[lo:hi])
+    orig = list(range(lo, hi + 1))
+    while True:
+        n = len(trans)
+        i = next(i for i in range(n - 1, -1, -1) if states[i] in states[i + 1:])
+        j = states.index(states[i], i + 1)
+        piece = trans[i:j]
+        effect = tuple(sum(col) for col in zip(*(t.effect for t in piece)))
+        if classify_effect(effect) in meets:
+            return PumpableCycle(tuple(piece), effect, orig[i], tuple(orig[i:j + 1]))
+        if (i, j) == (0, n):
+            return None
+        del states[i:j], trans[i:j], orig[i:j]
+
+
+def test_extract_matches_nested_scan_on_random_runs():
+    # runs of 1 to 3 counters in regime Z over up to 5 states, so splices
+    # can lower a coordinate of a multi-counter working copy, and runs
+    # longer than the state count, so the latest repetition is not the first
+    rng = random.Random(2307)
+    found = 0
+    for _ in range(1500):
+        dim = rng.randint(1, 3)
+        states = [f"q{i}" for i in range(rng.randint(1, 5))]
+        steps = [("s", tuple(rng.randint(-2, 2) for _ in range(dim)), rng.choice(states))
+                 for _ in range(rng.randint(0, 20))]
+        run = make_run(rng.choice(states), tuple(rng.randint(0, 3) for _ in range(dim)), steps, "Z")
+        last = len(run.configs) - 1
+        for _ in range(3):
+            lo = rng.randint(0, last)
+            scope = rng.choice([None, (lo, rng.randint(lo, last))])
+            for required in (SIGN_POSITIVE, SIGN_NONNEGATIVE):
+                expected = _extract_by_nested_scan(run, scope, required)
+                assert extract_pumpable_cycle(run, scope, required) == expected
+                found += expected is not None
+    assert found > 500
+
+
+def test_extract_splices_one_cycle_at_a_time_in_linear_time():
+    # 2,999 negative self loops inside a positive p..p cycle are spliced
+    # one by one; each splice looks only at the tail of the working copy
+    n = 3000
+    run = make_run("p", (0,), [("s", (n,), "q")] + [("s", (-1,), "q")] * (n - 1) + [("s", (0,), "p")])
+    started = perf_counter()
+    cyc = extract_pumpable_cycle(run, required=SIGN_POSITIVE)
+    assert perf_counter() - started < 5
+    assert (cyc.effect, cyc.indices) == ((n,), (0, n, n + 1))
 
 
 # --- pumping runs -------------------------------------------------------------
@@ -858,3 +921,11 @@ def test_refuter_guided_gives_up_without_common_bad_segment():
                                          caps=SearchCaps(max_multiple=1))
     assert res.verdict == "exhausted"
     assert res.stats["reason"] == "no segment is bad in every factor"
+
+
+def test_refuter_guided_reports_a_search_cut_by_run_cap():
+    # run_cap=0 looks at no run, so finding no bad segment proves nothing
+    res = refute_partition_decomposition(list(build_coarse_factors()), strategy="guided",
+                                         caps=SearchCaps(run_cap=0))
+    assert res.verdict == "exhausted"
+    assert res.stats["reason"] == "run_cap cut the witness search"

@@ -17,7 +17,9 @@ from counternet.constructions import (
     union,
 )
 from counternet.core import CounterNet, Transition, accepts, validate
+from counternet.fileformat import emit_machine_file
 from counternet.zoo import (
+    SEGMENT_ALPHABET,
     build_partition_net,
     build_selector_dcn,
     build_shared_budget,
@@ -286,3 +288,37 @@ def test_gadget_hands_over_the_leftover_counter():
     assert accepts(gadget, ("d", GADGET_SEPARATOR, "b"))
     assert not accepts(gadget, (GADGET_SEPARATOR, "b"))
     assert accepts(gadget, (GADGET_SEPARATOR,))
+
+
+def _gadget_by_hand(a, b):
+    """Reference for build_reduction on valid inputs: rename both inputs
+    apart, widen their effects to two counters, add the partition copy,
+    the $ edges and the sink, all in build_reduction's order."""
+    part = build_partition_net()
+    la = {q: f"A.{q}" for q in a.states}
+    lb = {q: f"B.{q}" for q in b.states}
+    lp = {q: f"P.{q}" for q in part.states}
+    ts = [Transition(la[t.source], t.letter, (t.effect[0], 0), la[t.target]) for t in a.transitions]
+    ts += [Transition(lb[t.source], t.letter, (t.effect[0], 0), lb[t.target]) for t in b.transitions]
+    ts += [Transition(lp[t.source], t.letter, t.effect, lp[t.target]) for t in part.transitions]
+    ts += [Transition(la[q], GADGET_SEPARATOR, (0, 0), lp[p0])
+           for q in a.states if q in a.accepting for p0 in part.states if p0 in part.initial]
+    ts += [Transition(lb[q], GADGET_SEPARATOR, (0, 0), "sink") for q in b.states if q in b.accepting]
+    ts += [Transition("sink", letter, (0, 0), "sink") for letter in sorted(SEGMENT_ALPHABET)]
+    return validate(CounterNet(
+        name=f"gadget({a.name},{b.name})",
+        dimension=2,
+        alphabet=a.alphabet | SEGMENT_ALPHABET | {GADGET_SEPARATOR},
+        states=(*la.values(), *lb.values(), *lp.values(), "sink"),
+        initial=[la[q] for q in a.initial] + [lb[q] for q in b.initial],
+        accepting=[lp[q] for q in part.accepting] + ["sink"],
+        transitions=ts,
+    ))
+
+
+def test_gadget_matches_hand_built_gadget_on_random_pairs():
+    # the inputs share state names, so the renaming apart is exercised
+    rng = random.Random(2307)
+    for _ in range(300):
+        a, b = random_cn(rng, 1, name="left"), random_cn(rng, 1, name="right")
+        assert emit_machine_file([build_reduction(a, b)]) == emit_machine_file([_gadget_by_hand(a, b)])

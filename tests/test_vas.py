@@ -192,7 +192,7 @@ def test_vasify_rejects_bad_inputs():
         name="two", dimension=0, alphabet=frozenset("x"),
         states=("p", "q"), initial=("p", "q"), accepting=("p",),
         transitions=(Transition("p", "x", (), "q"),)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="deterministic"):
         vasify(two_initial)
     shared_letter = validate(CounterNet(
         name="shared", dimension=0, alphabet=frozenset("x"),
