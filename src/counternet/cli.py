@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import re
 import sys
 import time
@@ -528,9 +529,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                if counterexample is not None else None),
             "stats": stats,
         }
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print(text)
+        text = json.dumps(report, sort_keys=True)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader left early (`| head -1`): the verdict stands, and the
+        # flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if verdict in _NEGATIVE and not args.exit_zero:
         return 1
     return 0

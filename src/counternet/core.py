@@ -10,8 +10,10 @@ counters can only enable more behaviour, so dominated vectors are dropped.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, ge
 from typing import Callable, Iterator, Optional, Sequence
 
 Word = tuple[str, ...]
@@ -192,14 +194,50 @@ def is_valid_n_run(net: CounterNet, run: Run, initial: Sequence[int]) -> bool:
 # antichain frontier search
 
 def _maximal(vectors: set[Vector]) -> frozenset[Vector]:
-    """The vectors of the set that no other one dominates.  A vector can
-    only be dominated by a lexicographically larger one, so in descending
-    order each is checked against those already kept, none is evicted."""
-    if len(vectors) == 1:
+    """The vectors of the set that no other one dominates.
+
+    In descending lexicographic order every earlier vector has a first
+    coordinate at least as large, and no later one can dominate a vector,
+    so a vector is dominated exactly when its tail (v[1], ...) is dominated
+    by the tail of a vector already kept.  The sweep after the sort depends
+    on the length of the vectors:
+      0 or 1  the first vector dominates the rest;
+      2       keep v when v[1] beats the largest v[1] so far;
+      3       the kept (y, z) tails form a staircase, y ascending and z
+              descending; a candidate is dominated when the first tail
+              with y' >= y has z' >= z, and a kept one replaces the tails
+              it dominates;
+      4+      check each candidate against every kept vector.
+    """
+    if len(vectors) <= 1:
         return frozenset(vectors)
-    kept: list[Vector] = []
-    for v in sorted(vectors, reverse=True):
-        if not any(all(a >= b for a, b in zip(u, v)) for u in kept):
+    order = sorted(vectors, reverse=True)
+    dim = len(order[0])
+    if dim <= 1:
+        return frozenset(order[:1])
+    if dim == 2:
+        kept, best = [order[0]], order[0][1]
+        for v in order:
+            if v[1] > best:
+                kept.append(v)
+                best = v[1]
+        return frozenset(kept)
+    if dim == 3:
+        kept, ys, zs = [], [], []
+        for v in order:
+            _, y, z = v
+            i = bisect_left(ys, y)
+            if i < len(ys) and zs[i] >= z:
+                continue
+            kept.append(v)
+            j = i + 1 if i < len(ys) and ys[i] == y else i
+            while i and zs[i - 1] <= z:
+                i -= 1
+            ys[i:j], zs[i:j] = [y], [z]
+        return frozenset(kept)
+    kept = []
+    for v in order:
+        if not any(all(map(ge, u, v)) for u in kept):
             kept.append(v)
     return frozenset(kept)
 
@@ -216,8 +254,8 @@ def step_frontier(net: CounterNet, frontier: Frontier, letter: str) -> Frontier:
         for t in table.get((state, letter), ()):
             bucket, effect = out.setdefault(t.target, set()), t.effect
             for v in vectors:
-                w = tuple(a + e for a, e in zip(v, effect))
-                if all(x >= 0 for x in w):
+                w = tuple(map(add, v, effect))
+                if not w or min(w) >= 0:
                     bucket.add(w)
     return {q: _maximal(vs) for q, vs in out.items() if vs}
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -530,3 +533,33 @@ def test_internal_failures_exit_three(monkeypatch, capsys, exc_class, flags):
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: internal failure: {exc_class.__name__}: first line")
     assert "Traceback" not in err
+
+
+def _cli_process(stdout):
+    """`python -m counternet.cli zoo coarse --emit` writing to stdout, with
+    unbuffered writes so the text and its newline reach the pipe apart."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONUNBUFFERED": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen([sys.executable, "-m", "counternet.cli", "zoo", "coarse", "--emit"],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def test_closed_stdout_pipe_keeps_the_exit_code_and_stderr_clean():
+    # like `counternet zoo coarse --emit | head -1`; the reader may close
+    # before or after the last write, so try a few times
+    for _ in range(3):
+        proc = _cli_process(subprocess.PIPE)
+        assert proc.stdout.readline() == b"cn coarse_b\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+    # a reader gone before the first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = _cli_process(write_end)
+    os.close(write_end)
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

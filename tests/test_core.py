@@ -17,6 +17,7 @@ from counternet.core import (
     accepts_naive,
     enumerate_accepting_runs,
     enumerate_runs,
+    frontier_accepts,
     initial_frontier,
     is_deterministic,
     is_valid_n_run,
@@ -29,10 +30,15 @@ from counternet.core import (
 )
 from counternet.analysis import all_words, segmented_box
 from counternet.zoo import (
+    PartitionKWord,
+    SegmentedWord,
     build_coarse_factors,
     build_paired_dcn,
+    build_partition_k,
     build_partition_net,
     build_selector_ncn,
+    render_partition_k,
+    render_segmented,
 )
 
 from randnets import random_cn, random_dcn
@@ -180,13 +186,20 @@ def _insert_fold(net, frontier, letter):
     return {q: vs for q, vs in out.items() if vs}
 
 
-@given(st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)), max_size=20))
+def _maximal_all_pairs(vectors):
+    return frozenset(v for v in vectors if not any(u != v and _dominates(u, v) for u in vectors))
+
+
+# lengths 0 to 5 reach every branch of the sweep; coordinates 0-4 make tails tie
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.sets(st.tuples(*[st.integers(0, 4)] * n), max_size=30)))
 def test_maximal_is_an_antichain_dominating_its_input(vectors):
     kept = _maximal(vectors)
     assert isinstance(kept, frozenset) and kept <= vectors
     assert is_antichain(kept)
     for v in vectors:
         assert any(_dominates(k, v) for k in kept)
+    assert kept == _maximal_all_pairs(vectors)
 
 
 def test_step_frontier_matches_the_insert_fold_on_random_nets():
@@ -201,6 +214,32 @@ def test_step_frontier_matches_the_insert_fold_on_random_nets():
                     ours, ref = step_frontier(net, ours, letter), _insert_fold(net, ref, letter)
                     assert ours == ref
                     assert all(isinstance(vs, frozenset) for vs in ours.values())
+
+
+def test_step_frontier_matches_the_insert_fold_on_wide_frontiers():
+    """Long member words of P (2 counters) and PkConj(3) (3 counters) grow
+    frontiers past a hundred vectors, where the sort-and-sweep filter does
+    its real work."""
+    rng = random.Random(1)
+    p_segments, pk_segments = (3, 5, 7, 9, 11, 13, 15, 17), (2, 3, 4, 5, 6)
+    p_split, pk_split = [0, 0], [0, 0, 0]
+    for m in p_segments:
+        p_split[rng.randrange(2)] += m
+    for m in pk_segments:
+        pk_split[rng.randrange(3)] += m
+    cases = [
+        (build_partition_net(), render_segmented(SegmentedWord(p_segments, *p_split))),
+        (build_partition_k(3), render_partition_k(3, PartitionKWord(pk_segments, tuple(pk_split)))),
+    ]
+    for net, w in cases:
+        ours = ref = initial_frontier(net)
+        peak = 0
+        for letter in w:
+            ours, ref = step_frontier(net, ours, letter), _insert_fold(net, ref, letter)
+            assert ours == ref
+            peak = max(peak, sum(len(vs) for vs in ours.values()))
+        assert frontier_accepts(net, ours)
+        assert peak > 100
 
 
 def test_step_frontier_partition_net():
