@@ -21,7 +21,6 @@ from .core import (
     is_deterministic,
     is_valid_n_run,
     max_positive_update,
-    prefix_acceptor,
     replay,
     run_effect,
     step_frontier,

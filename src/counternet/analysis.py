@@ -26,7 +26,6 @@ from .core import (
     Word,
     accepts,
     enumerate_accepting_runs,
-    prefix_acceptor,
     replay,
 )
 from . import zoo
@@ -87,15 +86,13 @@ class CycleWitness:
     """A simple cycle occurring as a contiguous infix of a run.
 
     start/end are configuration indices, effect is the counter change over
-    the cycle, anchor is the first index in the searched scope where the
-    entry state occurs.
+    the cycle.
     """
 
     start: int
     end: int
     effect: Vector
     sign_class: str
-    anchor: int
 
 
 def classify_effect(effect: Vector) -> str:
@@ -122,9 +119,6 @@ def find_cycles(run: Run, scope: Optional[tuple[int, int]] = None) -> list[Cycle
     if not 0 <= lo <= hi < len(run.configs):
         raise ValueError("scope out of range")
     states = [c.state for c in run.configs]
-    first: dict[str, int] = {}
-    for p in range(lo, hi + 1):
-        first.setdefault(states[p], p)
     out: list[CycleWitness] = []
     for i in range(lo, hi):
         # a simple cycle from i can only close at the first repeated state
@@ -132,7 +126,7 @@ def find_cycles(run: Run, scope: Optional[tuple[int, int]] = None) -> list[Cycle
         for j in range(i + 1, hi + 1):
             if states[j] == states[i]:
                 effect = tuple(b - a for a, b in zip(run.configs[i].counters, run.configs[j].counters))
-                out.append(CycleWitness(i, j, effect, classify_effect(effect), first[states[i]]))
+                out.append(CycleWitness(i, j, effect, classify_effect(effect)))
             if states[j] in seen:
                 break
             seen.add(states[j])
@@ -619,9 +613,10 @@ def bounded_compare(
     neither side is a callable or empty, the sweep runs as a joint
     frontier walk, with a sequence replaced by its product, which covers
     the same words exactly.  Otherwise words are decided in generator
-    order, nets through prefix acceptors, so a frontier reached by many
-    prefixes is stepped once per letter.  A counterexample is re-verified
-    with plain accepts from the empty prefix before it is reported.
+    order, each net through one FrontierGraph, so a frontier reached by
+    many prefixes is stepped once per letter.  A counterexample is
+    re-verified with plain accepts from the empty prefix before it is
+    reported.
     """
     if isinstance(generator, AllWords) and not any(callable(s) or not s for s in (left, right)):
         a, b = (s if isinstance(s, CounterNet) else product_all(s) for s in (left, right))
@@ -629,7 +624,7 @@ def bounded_compare(
     sized = getattr(generator, "size", None)
     if sized is not None and sized() > hard_cap:
         raise SweepLimitError(f"generator holds {sized()} words, cap is {hard_cap}")
-    decide_left, decide_right = (_side_decider(s, prefix_acceptor) for s in (left, right))
+    decide_left, decide_right = (_side_decider(s, lambda net: FrontierGraph(net).accepts) for s in (left, right))
     checked = 0
     for item in generator:
         checked += 1

@@ -7,6 +7,8 @@ decomposition question.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
+from functools import reduce
 from typing import Optional, Sequence
 
 from .core import CounterNet, Transition, validate
@@ -18,45 +20,43 @@ def product(a: CounterNet, b: CounterNet) -> CounterNet:
 
     Dimension adds up, effects concatenate, and a word is accepted by the
     product iff both components accept it.  Only pairs reachable in the
-    underlying state graph are kept.
+    underlying state graph are kept.  A pair (p, q) is named p~q, plus ~i
+    (i its breadth-first index) while that name is taken already.
     """
     if a.alphabet != b.alphabet:
         raise ValueError("product requires a common alphabet")
-    def pair_id(p: str, q: str) -> str:
-        return f"{p}~{q}"
-
-    start_pairs = [(p, q) for p in a.states if p in a.initial for q in b.states if q in b.initial]
-    seen: dict[tuple[str, str], str] = {}
-    order: list[tuple[str, str]] = []
+    seen: dict[tuple[str, str], str] = {}  # pair -> name
+    rank: dict[str, int] = {}  # name -> breadth-first index
     queue = deque()
-    for pair in start_pairs:
+
+    def visit(pair: tuple[str, str]) -> str:
         if pair not in seen:
-            seen[pair] = pair_id(*pair)
-            order.append(pair)
+            name = f"{pair[0]}~{pair[1]}"
+            while name in rank:
+                name += f"~{len(rank)}"
+            rank[name] = len(rank)
+            seen[pair] = name
             queue.append(pair)
+        return seen[pair]
+
+    initial = [visit((p, q)) for p in a.states if p in a.initial for q in b.states if q in b.initial]
     letters = sorted(a.alphabet)
     transitions: list[Transition] = []
     while queue:
-        p, q = queue.popleft()
+        p, q = pair = queue.popleft()
         for letter in letters:
             for ta in a.step_table.get((p, letter), ()):
                 for tb in b.step_table.get((q, letter), ()):
-                    nxt = (ta.target, tb.target)
-                    if nxt not in seen:
-                        seen[nxt] = pair_id(*nxt)
-                        order.append(nxt)
-                        queue.append(nxt)
-                    transitions.append(Transition(seen[(p, q)], letter, ta.effect + tb.effect, seen[nxt]))
-    rank = {seen[pair]: i for i, pair in enumerate(order)}
+                    target = visit((ta.target, tb.target))
+                    transitions.append(Transition(seen[pair], letter, ta.effect + tb.effect, target))
     transitions.sort(key=lambda t: (rank[t.source], t.letter, rank[t.target]))
     return validate(CounterNet(
         name=f"product({a.name},{b.name})",
         dimension=a.dimension + b.dimension,
         alphabet=a.alphabet,
-        states=tuple(seen[pair] for pair in order),
-        initial=tuple(seen[pair] for pair in start_pairs),
-        accepting=tuple(seen[(p, q)] for (p, q) in order
-                        if p in a.accepting and q in b.accepting),
+        states=tuple(rank),
+        initial=initial,
+        accepting=tuple(name for (p, q), name in seen.items() if p in a.accepting and q in b.accepting),
         transitions=tuple(transitions),
     ))
 
@@ -65,10 +65,7 @@ def product_all(nets: Sequence[CounterNet]) -> CounterNet:
     """Left fold of the binary product; at least one net required."""
     if not nets:
         raise ValueError("product of zero nets is undefined")
-    acc = nets[0]
-    for net in nets[1:]:
-        acc = product(acc, net)
-    return acc
+    return reduce(product, nets)
 
 
 def trim(net: CounterNet) -> CounterNet:
@@ -95,12 +92,10 @@ def trim(net: CounterNet) -> CounterNet:
     keep = net.initial | (reach(net.initial, succ) & reach(net.accepting, pred))
     if len(keep) == len(net.states):
         return net
-    return validate(CounterNet(
+    return validate(replace(
+        net,
         name=f"trim({net.name})",
-        dimension=net.dimension,
-        alphabet=net.alphabet,
         states=tuple(q for q in net.states if q in keep),
-        initial=net.initial,
         accepting=net.accepting & keep,
         transitions=tuple(t for t in net.transitions if t.source in keep and t.target in keep),
     ))
@@ -117,17 +112,25 @@ def project(net: CounterNet, coordinate: int) -> CounterNet:
         raise ValueError(f"coordinate {coordinate} out of range for dimension {net.dimension}")
     if net.dimension == 1 and coordinate == 1:
         return net
-    i = coordinate - 1
-    return validate(CounterNet(
+    return validate(replace(
+        net,
         name=f"{net.name}|{coordinate}",
         dimension=1,
-        alphabet=net.alphabet,
-        states=net.states,
-        initial=net.initial,
-        accepting=net.accepting,
-        transitions=tuple(
-            Transition(t.source, t.letter, (t.effect[i],), t.target) for t in net.transitions),
+        transitions=tuple(replace(t, effect=(t.effect[coordinate - 1],)) for t in net.transitions),
     ))
+
+
+def _renamed(net: CounterNet, tag: str) -> CounterNet:
+    """net with each state q renamed tag.q, so nets renamed with different
+    tags share no state."""
+    new = {q: f"{tag}.{q}" for q in net.states}
+    return replace(
+        net,
+        states=tuple(new.values()),
+        initial=[new[q] for q in net.initial],
+        accepting=[new[q] for q in net.accepting],
+        transitions=tuple(replace(t, source=new[t.source], target=new[t.target]) for t in net.transitions),
+    )
 
 
 def union(a: CounterNet, b: CounterNet) -> CounterNet:
@@ -137,21 +140,14 @@ def union(a: CounterNet, b: CounterNet) -> CounterNet:
         raise ValueError("union requires equal dimensions")
     if a.alphabet != b.alphabet:
         raise ValueError("union requires a common alphabet")
-    la = {q: f"A.{q}" for q in a.states}
-    lb = {q: f"B.{q}" for q in b.states}
-    return validate(CounterNet(
+    a, b = _renamed(a, "A"), _renamed(b, "B")
+    return validate(replace(
+        a,
         name=f"union({a.name},{b.name})",
-        dimension=a.dimension,
-        alphabet=a.alphabet,
-        states=tuple(la[q] for q in a.states) + tuple(lb[q] for q in b.states),
-        initial=tuple(la[q] for q in a.states if q in a.initial)
-        + tuple(lb[q] for q in b.states if q in b.initial),
-        accepting=tuple(la[q] for q in a.states if q in a.accepting)
-        + tuple(lb[q] for q in b.states if q in b.accepting),
-        transitions=tuple(Transition(la[t.source], t.letter, t.effect, la[t.target])
-                          for t in a.transitions)
-        + tuple(Transition(lb[t.source], t.letter, t.effect, lb[t.target])
-                for t in b.transitions),
+        states=a.states + b.states,
+        initial=a.initial | b.initial,
+        accepting=a.accepting | b.accepting,
+        transitions=a.transitions + b.transitions,
     ))
 
 
@@ -165,16 +161,15 @@ def lift(net: CounterNet, target_dim: int, placement: Optional[Sequence[int]] = 
     k = net.dimension
     if target_dim < k:
         raise ValueError("target dimension smaller than the net's dimension")
-    if placement is None:
-        placement = tuple(range(1, k + 1))
-    placement = tuple(int(p) for p in placement)
+    identity = tuple(range(1, k + 1))
+    placement = identity if placement is None else tuple(int(p) for p in placement)
     if len(placement) != k:
         raise ValueError("placement must list one target coordinate per original coordinate")
     if len(set(placement)) != k:
         raise ValueError("placement coordinates must be distinct")
     if any(not 1 <= p <= target_dim for p in placement):
         raise ValueError("placement coordinate out of range")
-    if target_dim == k and placement == tuple(range(1, k + 1)):
+    if target_dim == k and placement == identity:
         return net
 
     def widen(effect: tuple[int, ...]) -> tuple[int, ...]:
@@ -183,15 +178,11 @@ def lift(net: CounterNet, target_dim: int, placement: Optional[Sequence[int]] = 
             out[pos - 1] = value
         return tuple(out)
 
-    return validate(CounterNet(
+    return validate(replace(
+        net,
         name=f"lift({net.name},{target_dim})",
         dimension=target_dim,
-        alphabet=net.alphabet,
-        states=net.states,
-        initial=net.initial,
-        accepting=net.accepting,
-        transitions=tuple(Transition(t.source, t.letter, widen(t.effect), t.target)
-                          for t in net.transitions),
+        transitions=tuple(replace(t, effect=widen(t.effect)) for t in net.transitions),
     ))
 
 
@@ -219,24 +210,19 @@ def build_reduction(a: CounterNet, b: CounterNet) -> CounterNet:
     if a.alphabet & reserved:
         raise ValueError("input alphabet must avoid a, b, c, #, $")
 
-    part = build_partition_net()
+    part = _renamed(build_partition_net(), "P")
     both = union(lift(a, 2), lift(b, 2))
-    la = dict(zip(a.states, both.states))
-    lb = dict(zip(b.states, both.states[len(a.states):]))
-    lp = {q: f"P.{q}" for q in part.states}
-    sink, zero2 = "sink", (0, 0)
-    transitions = [*both.transitions]
-    transitions += (Transition(lp[t.source], t.letter, t.effect, lp[t.target]) for t in part.transitions)
-    transitions += (Transition(la[q], GADGET_SEPARATOR, zero2, lp[p0]) for q in a.states if q in a.accepting
+    n, sink, zero2 = len(a.states), "sink", (0, 0)  # both.states[:n] is the copy of a
+    transitions = [*both.transitions, *part.transitions]
+    transitions += (Transition(q, GADGET_SEPARATOR, zero2, p0) for q in both.states[:n] if q in both.accepting
                     for p0 in part.states if p0 in part.initial)
-    transitions += (Transition(lb[q], GADGET_SEPARATOR, zero2, sink) for q in b.states if q in b.accepting)
+    transitions += (Transition(q, GADGET_SEPARATOR, zero2, sink) for q in both.states[n:] if q in both.accepting)
     transitions += (Transition(sink, letter, zero2, sink) for letter in sorted(SEGMENT_ALPHABET))
-    return validate(CounterNet(
+    return validate(replace(
+        both,
         name=f"gadget({a.name},{b.name})",
-        dimension=2,
         alphabet=a.alphabet | reserved,
-        states=both.states + tuple(lp[q] for q in part.states) + (sink,),
-        initial=both.initial,
-        accepting=tuple(lp[q] for q in part.states if q in part.accepting) + (sink,),
+        states=both.states + part.states + (sink,),
+        accepting=part.accepting | {sink},
         transitions=tuple(transitions),
     ))

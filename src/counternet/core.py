@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, ge
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 Word = tuple[str, ...]
 Vector = tuple[int, ...]
@@ -349,13 +349,6 @@ class FrontierGraph:
             if len(word) < max_len and self.frontiers[i]:
                 stack.extend((self.step(i, x), word + (x,)) for x in letters)
         return found
-
-
-def prefix_acceptor(net: CounterNet, initial: Optional[Sequence[int]] = None) -> Callable[[Sequence[str]], bool]:
-    """A membership decider with the answers of accepts(net, word, initial)
-    that steps each distinct (frontier, letter) pair once, whatever order
-    words arrive in."""
-    return FrontierGraph(net, initial).accepts
 
 
 def accepts_naive(

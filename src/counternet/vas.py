@@ -17,7 +17,7 @@ shared source); verify_pipeline reports these rather than failing them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .core import (
@@ -55,20 +55,12 @@ def distinct_label(net: CounterNet) -> LabelMap:
     so accepted words and accepting paths are in bijection."""
     if not is_deterministic(net):
         raise ValueError("distinct labelling requires a deterministic net")
-    fresh: list[Transition] = []
-    mapping: dict[str, Transition] = {}
-    for i, t in enumerate(net.transitions):
-        label = f"g{i}"
-        fresh.append(Transition(t.source, label, t.effect, t.target))
-        mapping[label] = t
-    labelled = validate(CounterNet(
+    mapping = {f"g{i}": t for i, t in enumerate(net.transitions)}
+    labelled = validate(replace(
+        net,
         name=f"{net.name}+labels",
-        dimension=net.dimension,
         alphabet=frozenset(mapping),
-        states=net.states,
-        initial=net.initial,
-        accepting=net.accepting,
-        transitions=tuple(fresh),
+        transitions=tuple(replace(t, letter=label) for label, t in mapping.items()),
     ))
     return LabelMap(labelled, net, mapping)
 
@@ -186,11 +178,7 @@ def classify_control(result: VasResult, valuation: Vector) -> Optional[tuple[str
 
 
 def enabled_letters(result: VasResult, valuation: Vector) -> set[str]:
-    out = set()
-    for t in result.net.transitions:
-        if all(v + e >= 0 for v, e in zip(valuation, t.effect)):
-            out.add(t.letter)
-    return out
+    return {t.letter for t in result.net.transitions if all(v + e >= 0 for v, e in zip(valuation, t.effect))}
 
 
 def expected_enabled(result: VasResult, pattern: str, state: str) -> set[str]:
@@ -198,11 +186,7 @@ def expected_enabled(result: VasResult, pattern: str, state: str) -> set[str]:
     of transitions leaving q; after phase 1, their phase-2 letters; after
     phase 2, their phase-3 letters, ignoring original-coordinate gates."""
     phase = {"rest": 0, "mid1": 1, "mid2": 2}[pattern]
-    out = set()
-    for info in result.triplets:
-        if info.transition.source == state:
-            out.add(info.letters[phase])
-    return out
+    return {info.letters[phase] for info in result.triplets if info.transition.source == state}
 
 
 @dataclass(frozen=True)

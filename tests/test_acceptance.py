@@ -32,12 +32,12 @@ from counternet.cli import render_word_text
 from counternet.constructions import build_reduction, product, project
 from counternet.core import (
     CounterNet,
+    FrontierGraph,
     Transition,
     accepts,
     accepts_naive,
     enumerate_runs,
     max_positive_update,
-    prefix_acceptor,
     validate,
 )
 from counternet.zoo import (
@@ -119,7 +119,7 @@ def test_criterion_05_product_law_random():
     for _ in range(50):
         a = random_cn(rng, 1, max_states=4)
         b = random_cn(rng, 1, max_states=4)
-        in_a, in_b, in_prod = (prefix_acceptor(n) for n in (a, b, product(a, b)))
+        in_a, in_b, in_prod = (FrontierGraph(n).accepts for n in (a, b, product(a, b)))
         for item in all_words(a.alphabet, 7):
             both = in_a(item.word) and in_b(item.word)
             if in_prod(item.word) != both:
@@ -318,7 +318,7 @@ def test_criterion_13_zoo_families_match_oracles():
 
 
 def test_criterion_14_conjecture_family_cross_check():
-    in_net = prefix_acceptor(build_partition_k(2))
+    in_net = FrontierGraph(build_partition_k(2)).accepts
     mismatches = 0
     checked = 0
     for item in segmented_box(3, 6):

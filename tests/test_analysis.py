@@ -107,7 +107,6 @@ def test_find_cycles_positive_loop():
         (0, 1, (2,), SIGN_POSITIVE),
         (1, 2, (2,), SIGN_POSITIVE),
     ]
-    assert all(c.anchor == 0 for c in cycles)
 
 
 def test_find_cycles_two_state_nonnegative():
@@ -141,8 +140,7 @@ def test_find_cycles_skips_non_simple():
 
 def _cycles_by_definition(run, lo, hi):
     """Reference for find_cycles, cubic in the scope: every i < j with
-    states[i] == states[j] and states[i:j] pairwise distinct, anchored at
-    the first index of the state in the scope."""
+    states[i] == states[j] and states[i:j] pairwise distinct."""
     states = [c.state for c in run.configs]
     out = []
     for i in range(lo, hi):
@@ -150,8 +148,7 @@ def _cycles_by_definition(run, lo, hi):
             if states[i] != states[j] or len(set(states[i:j])) != j - i:
                 continue
             effect = tuple(b - a for a, b in zip(run.configs[i].counters, run.configs[j].counters))
-            anchor = next(p for p in range(lo, hi + 1) if states[p] == states[i])
-            out.append(CycleWitness(i, j, effect, classify_effect(effect), anchor))
+            out.append(CycleWitness(i, j, effect, classify_effect(effect)))
     return out
 
 
@@ -807,18 +804,18 @@ def test_sweep_of_a_shuffled_list_matches_brute_force():
 
 def test_sweep_refuses_a_wrong_acceptor_verdict(monkeypatch):
     import counternet.analysis as analysis_mod
-    real = analysis_mod.prefix_acceptor
     flipped = ("a", "#", "b", "c")
 
-    def flipping(net, initial=None):
-        decide = real(net, initial)
-        return lambda w: decide(w) != (tuple(w) == flipped)
+    class FlippingGraph(FrontierGraph):
+        def accepts(self, word):
+            return super().accepts(word) != (tuple(word) == flipped)
     p = build_partition_net()
     assert bounded_compare(p, partition_oracle, segmented_box(3, 2)).verdict == "equal"
-    monkeypatch.setattr(analysis_mod, "prefix_acceptor", flipping)
-    with pytest.raises(RuntimeError):
+    monkeypatch.setattr(analysis_mod, "FrontierGraph", FlippingGraph)
+    changed = "membership verdict changed on re-verification"
+    with pytest.raises(RuntimeError, match=changed):
         bounded_compare(p, partition_oracle, segmented_box(3, 2))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match=changed):
         check_decomposition(partition_oracle, [p], segmented_box(3, 2))
 
 

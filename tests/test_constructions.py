@@ -1,11 +1,12 @@
 import random
+from collections import deque
 from itertools import product as cartesian
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from counternet.analysis import bounded_compare, compare_nets_walk, selector_box
+from counternet.analysis import all_words, bounded_compare, compare_nets_walk, selector_box
 from counternet.constructions import (
     GADGET_SEPARATOR,
     build_reduction,
@@ -17,7 +18,8 @@ from counternet.constructions import (
     union,
 )
 from counternet.core import CounterNet, Transition, accepts, validate
-from counternet.fileformat import emit_machine_file
+from counternet.fileformat import emit_machine_file, parse_machine_file
+from counternet.vas import distinct_label
 from counternet.zoo import (
     SEGMENT_ALPHABET,
     build_partition_net,
@@ -78,6 +80,18 @@ def test_budget_factors_multiply_back_to_main():
     main, bb, bc = build_shared_budget()
     rep = compare_nets_walk(product(bb, bc), main, max_len=8)
     assert rep.verdict == "equal"
+
+
+def test_product_names_pairs_apart_when_state_names_hold_the_separator():
+    # (p, q~r) and (p~q, r) would both be named p~q~r
+    a, b = parse_machine_file(
+        "cn a\ndim 0\nalphabet x\ninit p p~q\naccept p\ntrans p x p~q\nend\n"
+        "cn b\ndim 0\nalphabet x\ninit q~r r\naccept r\ntrans r x q~r\nend\n")
+    ab = product(a, b)
+    assert ab.states == ("p~q~r", "p~r", "p~q~q~r", "p~q~r~3")
+    for w in short_words(("x",), 3):
+        assert accepts(ab, w) == (accepts(a, w) and accepts(b, w)), w
+    assert bounded_compare(a, [a, b], all_words(a.alphabet, 2)).verdict == "equal"
 
 
 def test_product_all_folds_left():
@@ -290,6 +304,127 @@ def test_gadget_hands_over_the_leftover_counter():
     assert accepts(gadget, (GADGET_SEPARATOR,))
 
 
+# --- derived constructions against hand-built references -------------------
+# Each reference spells out every field of the net it builds, as the
+# constructions once did, so these tests pin the emitted bytes.
+
+def _product_by_hand(a, b):
+    """Reference for product on nets whose pair names p~q never collide."""
+    seen = {}
+    queue = deque()
+    for pair in ((p, q) for p in a.states if p in a.initial for q in b.states if q in b.initial):
+        seen[pair] = f"{pair[0]}~{pair[1]}"
+        queue.append(pair)
+    transitions = []
+    while queue:
+        p, q = queue.popleft()
+        for letter in sorted(a.alphabet):
+            for ta in (t for t in a.transitions if t.source == p and t.letter == letter):
+                for tb in (t for t in b.transitions if t.source == q and t.letter == letter):
+                    nxt = (ta.target, tb.target)
+                    if nxt not in seen:
+                        seen[nxt] = f"{nxt[0]}~{nxt[1]}"
+                        queue.append(nxt)
+                    transitions.append(Transition(seen[(p, q)], letter, ta.effect + tb.effect, seen[nxt]))
+    rank = {name: i for i, name in enumerate(seen.values())}
+    transitions.sort(key=lambda t: (rank[t.source], t.letter, rank[t.target]))
+    return validate(CounterNet(
+        name=f"product({a.name},{b.name})",
+        dimension=a.dimension + b.dimension,
+        alphabet=a.alphabet,
+        states=tuple(seen.values()),
+        initial=[seen[(p, q)] for (p, q) in seen if p in a.initial and q in b.initial],
+        accepting=[seen[(p, q)] for (p, q) in seen if p in a.accepting and q in b.accepting],
+        transitions=transitions,
+    ))
+
+
+def _union_by_hand(a, b):
+    la = {q: f"A.{q}" for q in a.states}
+    lb = {q: f"B.{q}" for q in b.states}
+    return validate(CounterNet(
+        name=f"union({a.name},{b.name})",
+        dimension=a.dimension,
+        alphabet=a.alphabet,
+        states=(*la.values(), *lb.values()),
+        initial=[la[q] for q in a.initial] + [lb[q] for q in b.initial],
+        accepting=[la[q] for q in a.accepting] + [lb[q] for q in b.accepting],
+        transitions=[Transition(la[t.source], t.letter, t.effect, la[t.target]) for t in a.transitions]
+        + [Transition(lb[t.source], t.letter, t.effect, lb[t.target]) for t in b.transitions],
+    ))
+
+
+def _trim_by_hand(net):
+    """Reference for trim: a state is kept when it is initial, or both
+    reachable from an initial state and co-reachable from an accepting one."""
+    def closure(start, step):
+        found = set(start)
+        while True:
+            more = {step(t)[1] for t in net.transitions if step(t)[0] in found} - found
+            if not more:
+                return found
+            found |= more
+    keep = net.initial | (closure(net.initial, lambda t: (t.source, t.target))
+                          & closure(net.accepting, lambda t: (t.target, t.source)))
+    if keep == set(net.states):
+        return net
+    return validate(CounterNet(
+        name=f"trim({net.name})",
+        dimension=net.dimension,
+        alphabet=net.alphabet,
+        states=[q for q in net.states if q in keep],
+        initial=net.initial,
+        accepting=net.accepting & keep,
+        transitions=[t for t in net.transitions if t.source in keep and t.target in keep],
+    ))
+
+
+def _project_by_hand(net, coordinate):
+    if net.dimension == 1:
+        return net
+    return validate(CounterNet(
+        name=f"{net.name}|{coordinate}",
+        dimension=1,
+        alphabet=net.alphabet,
+        states=net.states,
+        initial=net.initial,
+        accepting=net.accepting,
+        transitions=[Transition(t.source, t.letter, (t.effect[coordinate - 1],), t.target)
+                     for t in net.transitions],
+    ))
+
+
+def _lift_by_hand(net, target_dim, placement=None):
+    placement = tuple(range(1, net.dimension + 1)) if placement is None else tuple(placement)
+    if target_dim == net.dimension and placement == tuple(range(1, net.dimension + 1)):
+        return net
+    return validate(CounterNet(
+        name=f"lift({net.name},{target_dim})",
+        dimension=target_dim,
+        alphabet=net.alphabet,
+        states=net.states,
+        initial=net.initial,
+        accepting=net.accepting,
+        transitions=[Transition(t.source, t.letter,
+                                tuple(t.effect[placement.index(j)] if j in placement else 0
+                                      for j in range(1, target_dim + 1)), t.target)
+                     for t in net.transitions],
+    ))
+
+
+def _labelled_by_hand(net):
+    """Reference for distinct_label(net).net."""
+    return validate(CounterNet(
+        name=f"{net.name}+labels",
+        dimension=net.dimension,
+        alphabet=[f"g{i}" for i in range(len(net.transitions))],
+        states=net.states,
+        initial=net.initial,
+        accepting=net.accepting,
+        transitions=[Transition(t.source, f"g{i}", t.effect, t.target) for i, t in enumerate(net.transitions)],
+    ))
+
+
 def _gadget_by_hand(a, b):
     """Reference for build_reduction on valid inputs: rename both inputs
     apart, widen their effects to two counters, add the partition copy,
@@ -316,9 +451,35 @@ def _gadget_by_hand(a, b):
     ))
 
 
-def test_gadget_matches_hand_built_gadget_on_random_pairs():
-    # the inputs share state names, so the renaming apart is exercised
+def _one_counter(rng, dim, name):
+    return random_cn(rng, 1, name=name)
+
+
+# (inputs, library construction, reference, the calls made on each pair)
+_REFERENCE_CASES = {
+    "product": (random_cn, product, _product_by_hand, lambda f, a, b: [f(a, b), f(b, a)]),
+    "union": (random_cn, union, _union_by_hand, lambda f, a, b: [f(a, b)]),
+    "trim": (random_cn, trim, _trim_by_hand, lambda f, a, b: [f(a), f(b)]),
+    "project": (random_cn, project, _project_by_hand,
+                lambda f, a, b: [f(a, c) for c in range(1, a.dimension + 1)]),
+    "lift": (random_cn, lift, _lift_by_hand,
+             lambda f, a, b: [f(a, a.dimension + 1), f(a, a.dimension + 2, range(a.dimension + 2, 2, -1))]),
+    "distinct_label": (random_dcn, lambda net: distinct_label(net).net, _labelled_by_hand,
+                       lambda f, a, b: [f(a), f(b)]),
+    "gadget": (_one_counter, build_reduction, _gadget_by_hand, lambda f, a, b: [f(a, b)]),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFERENCE_CASES))
+def test_construction_matches_hand_built_reference(case):
+    # the inputs share state names, so the renaming apart is exercised;
+    # the second lift places the coordinates in reverse after two new ones
+    make, build, by_hand, calls = _REFERENCE_CASES[case]
     rng = random.Random(2307)
-    for _ in range(300):
-        a, b = random_cn(rng, 1, name="left"), random_cn(rng, 1, name="right")
-        assert emit_machine_file([build_reduction(a, b)]) == emit_machine_file([_gadget_by_hand(a, b)])
+    derived = 0
+    for i in range(300):
+        a, b = make(rng, i % 4, name="left"), make(rng, i % 4, name="right")
+        ours = calls(build, a, b)
+        assert emit_machine_file(ours) == emit_machine_file(calls(by_hand, a, b)), (a, b)
+        derived += any(net is not a and net is not b for net in ours)
+    assert derived > 0  # not every call took a return-the-input shortcut

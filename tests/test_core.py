@@ -22,7 +22,6 @@ from counternet.core import (
     is_deterministic,
     is_valid_n_run,
     max_positive_update,
-    prefix_acceptor,
     replay,
     run_effect,
     step_frontier,
@@ -359,7 +358,7 @@ def test_accepts_matches_naive_on_random_nets(seed, letters):
     assert accepts(net, w) == accepts_naive(net, w)
 
 
-def test_prefix_acceptor_matches_accepts_on_random_nets():
+def test_frontier_graph_accepts_matches_accepts_on_random_nets():
     rng = random.Random(2307)
     for _ in range(40):
         dim = rng.randint(0, 2)
@@ -369,12 +368,12 @@ def test_prefix_acceptor_matches_accepts_on_random_nets():
         rng.shuffle(shuffled)
         for initial in (None, tuple(rng.randint(0, 2) for _ in range(dim))):
             for order in (words, shuffled):
-                decide = prefix_acceptor(net, initial)
+                decide = FrontierGraph(net, initial).accepts
                 assert [decide(w) for w in order] == [accepts(net, w, initial) for w in order]
             assert FrontierGraph(net, initial).words(6) == {w for w in words if accepts(net, w, initial)}
 
 
-def test_prefix_acceptor_steps_each_prefix_once(monkeypatch):
+def test_frontier_graph_steps_each_prefix_once(monkeypatch):
     import counternet.core as core_mod
     calls = []
     real = core_mod.step_frontier
@@ -382,7 +381,7 @@ def test_prefix_acceptor_steps_each_prefix_once(monkeypatch):
                         lambda net, frontier, letter: calls.append(letter) or real(net, frontier, letter))
     p = build_partition_net()
     words = [item.word for item in all_words(p.alphabet, 4)]
-    decide = prefix_acceptor(p)
+    decide = FrontierGraph(p).accepts
     first = [decide(w) for w in words]
     prefixes = {w[:i] for w in words for i in range(1, len(w) + 1)}
     assert 0 < len(calls) <= len(prefixes)
@@ -391,18 +390,18 @@ def test_prefix_acceptor_steps_each_prefix_once(monkeypatch):
     assert len(calls) == stepped  # a second pass steps nothing
     # a prefix with an empty frontier gets no children: y is never stepped
     calls.clear()
-    dead = prefix_acceptor(validate(CounterNet(
-        "dead", 0, frozenset("xy"), ("q",), ("q",), ("q",), (Transition("q", "y", (), "q"),))))
+    dead = FrontierGraph(validate(CounterNet(
+        "dead", 0, frozenset("xy"), ("q",), ("q",), ("q",), (Transition("q", "y", (), "q"),)))).accepts
     assert not any(dead(("x",) + ("y",) * n) for n in range(5))
     assert calls == ["x"]
 
 
-def test_prefix_acceptor_rejects_a_bad_initial_vector():
+def test_frontier_graph_rejects_a_bad_initial_vector():
     p = build_partition_net()
     with pytest.raises(ValueError):
-        prefix_acceptor(p, (-1, 0))
+        FrontierGraph(p, (-1, 0))
     with pytest.raises(ValueError):
-        prefix_acceptor(p, (0,))
+        FrontierGraph(p, (0,))
 
 
 def test_frontier_graph_holds_one_frontier_per_prefix_of_a_growing_counter():
