@@ -86,6 +86,7 @@ from .fileformat import (
     emit_machine_file,
     parse_machine_file,
     parse_word,
+    render_word_text,
 )
 
 __version__ = "0.1.0"

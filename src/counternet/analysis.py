@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
+from operator import sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
@@ -96,11 +97,12 @@ class CycleWitness:
 
 
 def classify_effect(effect: Vector) -> str:
-    if effect and all(x > 0 for x in effect):
+    lo, hi = min(effect, default=0), max(effect, default=0)
+    if lo > 0:
         return SIGN_POSITIVE
-    if all(x >= 0 for x in effect):
+    if lo >= 0:
         return SIGN_NONNEGATIVE
-    if effect and all(x < 0 for x in effect):
+    if hi < 0:
         return SIGN_NEGATIVE
     return SIGN_MIXED
 
@@ -119,13 +121,14 @@ def find_cycles(run: Run, scope: Optional[tuple[int, int]] = None) -> list[Cycle
     if not 0 <= lo <= hi < len(run.configs):
         raise ValueError("scope out of range")
     states = [c.state for c in run.configs]
+    counters = [c.counters for c in run.configs]
     out: list[CycleWitness] = []
     for i in range(lo, hi):
         # a simple cycle from i can only close at the first repeated state
         seen = {states[i]}
         for j in range(i + 1, hi + 1):
             if states[j] == states[i]:
-                effect = tuple(b - a for a, b in zip(run.configs[i].counters, run.configs[j].counters))
+                effect = tuple(map(sub, counters[j], counters[i]))
                 out.append(CycleWitness(i, j, effect, classify_effect(effect)))
             if states[j] in seen:
                 break

@@ -29,9 +29,15 @@ from typing import Optional, Sequence
 
 from . import analysis, constructions, fileformat, vas, zoo
 from .core import CounterNet, EnumerationCapError, Vector, Word, accepts, enumerate_accepting_runs
+from .fileformat import render_word_text
 
 __doc__ = (__doc__ or "").replace("<families>", ", ".join(zoo.FAMILIES))
 _K_HELP = "parameter for zoo:" + "/".join(f for f in zoo.FAMILIES if "k" in f) + " references"
+
+
+# effect entries (dimension x transitions) `lift` may build: one entry is a
+# few bytes of tuple and a few of text, far below what exhausts memory
+LIFT_BUDGET = 10**6
 
 
 class CliError(Exception):
@@ -97,25 +103,6 @@ def _resolve(ref: str, k: Optional[int]) -> CounterNet:
 
 # ---------------------------------------------------------------------------
 # words and boxes
-
-def render_word_text(word: Word) -> str:
-    """Inverse of parse_word where possible: runs of a letter become
-    tok^N.  Letters containing '^' are joined bare and flagged by the
-    caller if round-tripping matters."""
-    parts: list[str] = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        n = j - i
-        if n > 1 and "^" not in word[i]:
-            parts.append(f"{word[i]}^{n}")
-        else:
-            parts.extend(word[i:j])
-        i = j
-    return " ".join(parts)
-
 
 def _generator_for(args, nets: Sequence[CounterNet]):
     picks = [x for x in (args.max_len is not None, args.segmented_box is not None,
@@ -228,7 +215,12 @@ def _cmd_lift(args) -> tuple[str, Optional[Word], dict, str]:
             placement = tuple(int(x) for x in args.placement.split(","))
         except ValueError:
             raise CliError("--placement must be comma-separated coordinates")
-    return _emit_built(constructions.lift(_resolve(args.machine, args.k), args.dim, placement), args.out)
+    net = _resolve(args.machine, args.k)
+    entries = args.dim * len(net.transitions)
+    if entries > LIFT_BUDGET:
+        raise CliError(f"--dim {args.dim} over {len(net.transitions)} transitions needs {entries} "
+                       f"effect entries, above the budget of {LIFT_BUDGET}")
+    return _emit_built(constructions.lift(net, args.dim, placement), args.out)
 
 
 def _cmd_vasify(args) -> tuple[str, Optional[Word], dict, str]:

@@ -74,6 +74,21 @@ class CounterNet:
             table.setdefault((t.source, t.letter), []).append(t)
         return {k: tuple(v) for k, v in table.items()}
 
+    @cached_property
+    def _step_rows(self) -> dict[tuple[str, str], tuple[tuple[str, Optional[Vector], Optional[Vector]], ...]]:
+        """step_table as the (target, effect, floor) rows step_frontier
+        reads, built on first use: effect is None when it is all zeros,
+        floor is the least vector the effect keeps non-negative, None when
+        no coordinate of the effect is negative."""
+        return {
+            key: tuple(
+                (t.target,
+                 t.effect if any(t.effect) else None,
+                 tuple(max(0, -e) for e in t.effect) if min(t.effect, default=0) < 0 else None)
+                for t in ts)
+            for key, ts in self.step_table.items()
+        }
+
 
 @dataclass(frozen=True)
 class Config:
@@ -116,7 +131,8 @@ def validate(net: CounterNet) -> CounterNet:
     if len(set(net.states)) != len(net.states):
         raise InvalidNetError(f"{net.name}: duplicate state ids")
     for tok in net.alphabet:
-        if not tok or any(ch.isspace() for ch in tok):
+        # '^' is the repeat mark of the word notation (fileformat.parse_word)
+        if not tok or "^" in tok or any(ch.isspace() for ch in tok):
             raise InvalidNetError(f"{net.name}: bad alphabet token {tok!r}")
     if not net.initial:
         raise InvalidNetError(f"{net.name}: empty initial set")
@@ -245,19 +261,31 @@ def _maximal(vectors: set[Vector]) -> frozenset[Vector]:
 def step_frontier(net: CounterNet, frontier: Frontier, letter: str) -> Frontier:
     """Image of a frontier under one letter, pruned back to antichains.
 
+    Every value of frontier must be a frozenset antichain, as those of
+    initial_frontier and of earlier steps are.  Each (state, transition)
+    image then does only what its effect needs: a zero effect reuses the
+    source set, a non-negative one translates every vector, and one with
+    a negative coordinate translates only the vectors at or above its
+    floor.  Translation keeps dominance and a subset of an antichain is
+    an antichain, so a target reached by one image takes it as is; only
+    targets where two or more images merge are filtered by _maximal.
+
     A letter without transitions (including letters outside the alphabet)
     produces an empty frontier.
     """
-    table = net.step_table
-    out: dict[str, set[Vector]] = {}
+    rows = net._step_rows
+    parts: dict[str, list[frozenset[Vector]]] = {}
     for state, vectors in frontier.items():
-        for t in table.get((state, letter), ()):
-            bucket, effect = out.setdefault(t.target, set()), t.effect
-            for v in vectors:
-                w = tuple(map(add, v, effect))
-                if not w or min(w) >= 0:
-                    bucket.add(w)
-    return {q: _maximal(vs) for q, vs in out.items() if vs}
+        for target, effect, floor in rows.get((state, letter), ()):
+            if effect is None:
+                image = vectors
+            elif floor is None:
+                image = frozenset([tuple(map(add, v, effect)) for v in vectors])
+            else:
+                image = frozenset([tuple(map(add, v, effect)) for v in vectors if all(map(ge, v, floor))])
+            if image:
+                parts.setdefault(target, []).append(image)
+    return {q: ps[0] if len(ps) == 1 else _maximal(set().union(*ps)) for q, ps in parts.items()}
 
 
 def initial_frontier(net: CounterNet, initial: Optional[Sequence[int]] = None) -> Frontier:
@@ -418,8 +446,8 @@ def enumerate_runs(
                 runs.append(Run(tuple(configs), tuple(transitions)))
             stack.append(iter(table.get((here.state, w[depth]), ()) if depth < len(w) else ()))
         for t in stack[-1]:
-            nxt = tuple(a + e for a, e in zip(here.counters, t.effect))
-            if all(x >= 0 for x in nxt):
+            nxt = tuple(map(add, here.counters, t.effect))
+            if min(nxt, default=0) >= 0:
                 configs.append(Config(t.target, nxt))
                 transitions.append(t)
                 break
@@ -467,8 +495,8 @@ def replay(
     for t in transitions:
         if t.source != state:
             raise ValueError(f"transition source {t.source!r} does not match state {state!r}")
-        counters = tuple(a + e for a, e in zip(counters, t.effect))
-        if regime == "N" and any(x < 0 for x in counters):
+        counters = tuple(map(add, counters, t.effect))
+        if regime == "N" and min(counters, default=0) < 0:
             raise ValueError("run drops a counter below zero")
         state = t.target
         configs.append(Config(state, counters))

@@ -18,10 +18,14 @@ in order of appearance, then accept lines, which makes emit(parse(emit))
 = emit.
 
 Words are whitespace-separated letters, where tok^N abbreviates N copies:
-"a^3 # b b" means a a a # b b.
+"a^3 # b b" means a a a # b b.  A letter holds neither whitespace nor
+'^' (core.validate rejects both), so render_word_text and parse_word
+invert each other on every word over a valid alphabet.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 from .core import CounterNet, Transition, Word, validate
 
@@ -170,3 +174,10 @@ def parse_word(text: str) -> Word:
         else:
             out.append(tok)
     return tuple(out)
+
+
+def render_word_text(word: Word) -> str:
+    """The word in tok^N notation: a run of two or more equal letters
+    becomes tok^N, the empty word the empty string."""
+    runs = ((tok, sum(1 for _ in group)) for tok, group in groupby(word))
+    return " ".join(tok if n == 1 else f"{tok}^{n}" for tok, n in runs)

@@ -28,7 +28,6 @@ from counternet.analysis import (
     selector_box,
     triple_box,
 )
-from counternet.cli import render_word_text
 from counternet.constructions import build_reduction, product, project
 from counternet.core import (
     CounterNet,
@@ -40,6 +39,7 @@ from counternet.core import (
     max_positive_update,
     validate,
 )
+from counternet.fileformat import render_word_text
 from counternet.zoo import (
     PartitionKWord,
     build_coarse_factors,

@@ -100,6 +100,20 @@ def test_classify_effect():
     assert classify_effect(()) == SIGN_NONNEGATIVE  # vacuous
 
 
+@given(st.lists(st.integers(-3, 3), max_size=4))
+def test_classify_effect_matches_the_sign_definitions(effect):
+    effect = tuple(effect)
+    if effect and all(x > 0 for x in effect):
+        expected = SIGN_POSITIVE
+    elif all(x >= 0 for x in effect):
+        expected = SIGN_NONNEGATIVE
+    elif all(x < 0 for x in effect):
+        expected = SIGN_NEGATIVE
+    else:
+        expected = SIGN_MIXED
+    assert classify_effect(effect) == expected
+
+
 def test_find_cycles_positive_loop():
     run = make_run("q", (0,), [("s", (2,), "q"), ("s", (2,), "q")])
     cycles = find_cycles(run)

@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 from counternet import analysis, cli, zoo
-from counternet.cli import main, render_word_text
+from counternet.cli import LIFT_BUDGET, main
 from counternet.core import EnumerationCapError
-from counternet.fileformat import parse_machine_file
+from counternet.fileformat import parse_machine_file, render_word_text
 
 GE_FILE = """
 cn ge
@@ -102,6 +102,18 @@ def test_check_unknown_zoo_entry(capsys):
 
 def test_check_missing_file(capsys):
     rc, _, err = run(capsys, "check", "/no/such/file.cn", "--word", "a")
+    assert rc == 2
+
+
+def test_caret_letter_in_a_machine_file_is_a_usage_error(tmp_path, capsys):
+    # "x^2" would read back as x x, so such a letter is refused outright
+    path = tmp_path / "caret.cn"
+    path.write_text("cn a\ndim 0\nalphabet x^2 x\ninit p\naccept q\ntrans p x^2 q\nend\n"
+                    "cn b\ndim 0\nalphabet x^2 x\ninit p\nend\n")
+    rc, text, err = run(capsys, "eq", f"{path}:a", f"{path}:b", "--max-len", "2")
+    assert rc == 2 and text == ""
+    assert "bad alphabet token 'x^2'" in err
+    rc, _, _ = run(capsys, "check", f"{path}:a", "--word", "x^2")
     assert rc == 2
 
 
@@ -234,6 +246,17 @@ def test_lift_and_placement(tmp_path, capsys):
     rc, _, err = run(capsys, "lift", "zoo:fig1.b1", "--dim", "2",
                      "--placement", "1,2")
     assert rc == 2
+
+
+def test_lift_past_the_effect_budget_is_a_usage_error(tmp_path, capsys):
+    # zoo:P has 12 transitions; one more dimension than the budget allows,
+    # so a broken check would build about a megabyte, not exhaust memory
+    dim = LIFT_BUDGET // 12 + 1
+    out = tmp_path / "wide.cn"
+    rc, text, err = run(capsys, "lift", "zoo:P", "--dim", str(dim), "-o", str(out))
+    assert rc == 2 and text == ""
+    assert f"--dim {dim} over 12 transitions needs {dim * 12} effect entries" in err
+    assert not out.exists()
 
 
 def test_emitted_files_are_stable(capsys):

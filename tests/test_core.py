@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +100,13 @@ def test_validate_rejects_whitespace_letter():
     with pytest.raises(InvalidNetError):
         validate(small_net(alphabet=frozenset({"a b"}),
                            transitions=(Transition("p", "a b", (0,), "q"),)))
+
+
+def test_validate_rejects_caret_letter():
+    # '^' is the repeat mark of the word notation, so "x^2" could not be typed
+    with pytest.raises(InvalidNetError):
+        validate(small_net(alphabet=frozenset({"x^2", "x"}),
+                           transitions=(Transition("p", "x^2", (0,), "q"),)))
 
 
 def test_validate_rejects_negative_dimension():
@@ -215,10 +223,9 @@ def test_step_frontier_matches_the_insert_fold_on_random_nets():
                     assert all(isinstance(vs, frozenset) for vs in ours.values())
 
 
-def test_step_frontier_matches_the_insert_fold_on_wide_frontiers():
-    """Long member words of P (2 counters) and PkConj(3) (3 counters) grow
-    frontiers past a hundred vectors, where the sort-and-sweep filter does
-    its real work."""
+def _wide_member_cases():
+    """Long member words of P (2 counters) and PkConj(3) (3 counters), whose
+    frontiers grow past a hundred vectors."""
     rng = random.Random(1)
     p_segments, pk_segments = (3, 5, 7, 9, 11, 13, 15, 17), (2, 3, 4, 5, 6)
     p_split, pk_split = [0, 0], [0, 0, 0]
@@ -226,11 +233,16 @@ def test_step_frontier_matches_the_insert_fold_on_wide_frontiers():
         p_split[rng.randrange(2)] += m
     for m in pk_segments:
         pk_split[rng.randrange(3)] += m
-    cases = [
+    return [
         (build_partition_net(), render_segmented(SegmentedWord(p_segments, *p_split))),
         (build_partition_k(3), render_partition_k(3, PartitionKWord(pk_segments, tuple(pk_split)))),
     ]
-    for net, w in cases:
+
+
+def test_step_frontier_matches_the_insert_fold_on_wide_frontiers():
+    """The wide frontiers are where the filter of merged images does its
+    real work."""
+    for net, w in _wide_member_cases():
         ours = ref = initial_frontier(net)
         peak = 0
         for letter in w:
@@ -239,6 +251,76 @@ def test_step_frontier_matches_the_insert_fold_on_wide_frontiers():
             peak = max(peak, sum(len(vs) for vs in ours.values()))
         assert frontier_accepts(net, ours)
         assert peak > 100
+
+
+PROBES = ("zero", "hub", "up", "merge", "twice")
+
+
+def _with_probe_letters(net, rng):
+    """net plus one letter per kind of image step_frontier tells apart:
+    zero    every state loops with a zero effect (the source set reused)
+    hub     every state moves to one hub with a zero effect (reused sets merge)
+    up      every state loops with a non-negative effect (no floor)
+    merge   each state and a different one move to one target
+    twice   each state moves twice to one target
+    merge and twice draw effects from -2..2, so most have a floor."""
+    assert not net.alphabet & set(PROBES)
+    d, states = net.dimension, net.states
+
+    def effect(lo=-2):
+        return tuple(rng.randint(lo, 2) for _ in range(d))
+    hub = rng.choice(states)
+    extra = []
+    for q in states:
+        other, target = rng.choice([s for s in states if s != q] or [q]), rng.choice(states)
+        extra += [Transition(q, "zero", (0,) * d, q), Transition(q, "hub", (0,) * d, hub),
+                  Transition(q, "up", effect(0), q),
+                  Transition(q, "merge", effect(), target), Transition(other, "merge", effect(), target),
+                  Transition(q, "twice", effect(), target), Transition(q, "twice", effect(), target)]
+    return validate(replace(net, alphabet=net.alphabet | set(PROBES),
+                            transitions=net.transitions + tuple(extra)))
+
+
+def _check_step(net, frontier, letter):
+    ours = step_frontier(net, frontier, letter)
+    assert ours == _insert_fold(net, frontier, letter)
+    assert all(isinstance(vs, frozenset) and vs and is_antichain(vs) for vs in ours.values())
+    return ours
+
+
+def test_step_frontier_matches_the_insert_fold_on_every_kind_of_image_from_member_prefixes():
+    """Every thirteenth prefix of the wide member words branches into each
+    probe letter and then a second one, so zero-effect, non-negative and
+    merging images all meet frontiers of up to two hundred vectors."""
+    rng = random.Random(11)
+    for net, w in _wide_member_cases():
+        probed = _with_probe_letters(net, rng)
+        f, widest = initial_frontier(probed), 0
+        for i, letter in enumerate(w):
+            f = _check_step(probed, f, letter)
+            if i % 13 == 0:
+                widest = max(widest, sum(len(vs) for vs in f.values()))
+                for probe in PROBES:
+                    _check_step(probed, _check_step(probed, f, probe), rng.choice(PROBES))
+        assert frontier_accepts(probed, f)
+        assert widest > 100
+
+
+def test_step_frontier_matches_the_insert_fold_on_every_kind_of_image_from_random_vectors():
+    """Seeded random nets with the probe letters, walked on random words
+    from random start vectors; the nets over effects 0..2 have no
+    negative coordinate anywhere, those over 0..0 only zero effects."""
+    rng = random.Random(29)
+    for effect_range in ((0, 0), (0, 2), (-2, 2)):
+        for dim in range(5):
+            for _ in range(6):
+                net = _with_probe_letters(random_cn(rng, dim=dim, max_states=4, effect_range=effect_range), rng)
+                letters = sorted(net.alphabet)
+                start = initial_frontier(net, tuple(rng.randint(0, 3) for _ in range(dim)))
+                for _ in range(20):
+                    f = start
+                    for _ in range(6):
+                        f = _check_step(net, f, rng.choice(letters))
 
 
 def test_step_frontier_partition_net():
@@ -353,9 +435,10 @@ def test_long_word_does_not_hit_the_recursion_limit():
 @given(st.integers(0, 2 ** 31), st.lists(st.sampled_from("ab#c"), max_size=7))
 def test_accepts_matches_naive_on_random_nets(seed, letters):
     rng = random.Random(seed)
-    net = random_cn(rng, dim=rng.randint(0, 2), max_states=4, letters=("a", "b", "#", "c"))
+    net = random_cn(rng, dim=rng.randint(0, 4), max_states=4, letters=("a", "b", "#", "c"))
+    v0 = tuple(rng.randint(0, 2) for _ in range(net.dimension))
     w = tuple(letters)
-    assert accepts(net, w) == accepts_naive(net, w)
+    assert accepts(net, w, v0) == accepts_naive(net, w, v0)
 
 
 def test_frontier_graph_accepts_matches_accepts_on_random_nets():

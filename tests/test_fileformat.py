@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from counternet.analysis import compare_nets_walk
 from counternet.core import CounterNet, Transition
@@ -7,6 +9,7 @@ from counternet.fileformat import (
     emit_machine_file,
     parse_machine_file,
     parse_word,
+    render_word_text,
 )
 from counternet.zoo import build_partition_net, build_shared_budget
 
@@ -180,3 +183,16 @@ def test_parse_word_errors():
         parse_word("a^")
     with pytest.raises(ValueError):
         parse_word("a^-2")
+
+
+# letters validate accepts: non-empty, no whitespace, no '^'
+LETTER = st.text(min_size=1, max_size=4).filter(lambda t: "^" not in t and not any(c.isspace() for c in t))
+
+
+# a small pool per word makes runs of one letter, which render as tok^N
+@given(st.lists(LETTER, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=30)))
+def test_render_then_parse_gives_back_the_word(word):
+    word = tuple(word)
+    assert parse_word(render_word_text(word)) == word
+
