@@ -16,7 +16,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import partial
 from operator import sub
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .core import (
     CounterNet,
@@ -82,8 +82,7 @@ def forcing_length(state_count: int, max_update: int, initial: int) -> int:
 # ---------------------------------------------------------------------------
 # cycles in runs
 
-@dataclass(frozen=True)
-class CycleWitness:
+class CycleWitness(NamedTuple):
     """A simple cycle occurring as a contiguous infix of a run.
 
     start/end are configuration indices, effect is the counter change over
@@ -116,23 +115,34 @@ _MEETS = {
 
 def find_cycles(run: Run, scope: Optional[tuple[int, int]] = None) -> list[CycleWitness]:
     """All simple cycles whose endpoints both lie in the scope (a pair of
-    configuration indices, inclusive; default: the whole run)."""
-    lo, hi = scope if scope is not None else (0, len(run.configs) - 1)
-    if not 0 <= lo <= hi < len(run.configs):
+    configuration indices, inclusive; default: the whole run), by start.
+
+    From index i a simple cycle can only close at the first repeated
+    state, and only if that is states[i].  One backward pass keeps each
+    state's nearest later index and stop, the first repeat of the window
+    after i: the window from i first repeats at the next occurrence of
+    states[i] when that comes before stop, and at stop otherwise.
+    """
+    configs = run.configs
+    lo, hi = scope if scope is not None else (0, len(configs) - 1)
+    if not 0 <= lo <= hi < len(configs):
         raise ValueError("scope out of range")
-    states = [c.state for c in run.configs]
-    counters = [c.counters for c in run.configs]
+    nxt: dict[str, int] = {}
+    signs: dict[Vector, str] = {}
+    stop = hi + 1
     out: list[CycleWitness] = []
-    for i in range(lo, hi):
-        # a simple cycle from i can only close at the first repeated state
-        seen = {states[i]}
-        for j in range(i + 1, hi + 1):
-            if states[j] == states[i]:
-                effect = tuple(map(sub, counters[j], counters[i]))
-                out.append(CycleWitness(i, j, effect, classify_effect(effect)))
-            if states[j] in seen:
-                break
-            seen.add(states[j])
+    for i in range(hi, lo - 1, -1):
+        state, counters = configs[i]
+        j = nxt.get(state, stop)
+        if j < stop:
+            stop = j
+            effect = tuple(map(sub, configs[j].counters, counters))
+            sign = signs.get(effect)
+            if sign is None:
+                sign = signs[effect] = classify_effect(effect)
+            out.append(CycleWitness(i, j, effect, sign))
+        nxt[state] = i
+    out.reverse()
     return out
 
 
@@ -768,10 +778,12 @@ def _refute_enumerate(factors: Sequence[CounterNet], k: int, box: int) -> Refute
 
 
 def _refute_guided(given: Sequence[CounterNet], k: int, caps: SearchCaps) -> RefuterResult:
-    # states off every accepting path only inflate the |Q|! period
+    # states off every accepting path only inflate the period
     factors = [trim(f) for f in given]
     t = k + 1
-    period = pump_period(factors)
+    # a simple cycle has at most |Q| transitions, so its length divides
+    # lcm(1..|Q|), which equals |Q|! up to three states and is smaller after
+    period = math.lcm(*range(1, max(len(f.states) for f in factors) + 1))
     stats: dict = {"period": period, "witness_words": 0}
     witnesses: dict[int, list[BadSegmentWitness]] = {}
     cut = False  # a search that found nothing stopped at run_cap

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, ge
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 Word = tuple[str, ...]
 Vector = tuple[int, ...]
@@ -90,8 +90,7 @@ class CounterNet:
         }
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     """One point of a run: a control state plus a counter valuation."""
 
     state: str
@@ -427,11 +426,12 @@ def enumerate_runs(
     cap: int = 1000,
 ) -> RunEnumeration:
     """All N-runs on word from (start_state, initial), depth first by
-    ascending transition declaration index, up to cap runs."""
+    ascending transition declaration index, up to cap runs.  Raises
+    ValueError for an undeclared start state or a bad initial vector."""
+    if start_state not in net.states:
+        raise ValueError(f"start state {start_state!r} not declared")
     w = tuple(word)
-    v0 = tuple(int(x) for x in initial)
-    if any(x < 0 for x in v0):
-        raise ValueError("initial vector must be non-negative")
+    v0 = _initial_vector(net, initial)
     table = net.step_table
     runs: list[Run] = []
     configs = [Config(start_state, v0)]  # the path to the current node

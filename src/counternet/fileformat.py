@@ -29,6 +29,10 @@ from itertools import groupby
 
 from .core import CounterNet, Transition, Word, validate
 
+# the most letters parse_word expands a word to: tok^N costs memory for
+# N letters, which a short argument must not exhaust
+WORD_BUDGET = 10**7
+
 
 class MachineFileError(ValueError):
     def __init__(self, line_no: int, message: str):
@@ -159,7 +163,9 @@ def emit_machine_file(nets: list[CounterNet]) -> str:
 
 
 def parse_word(text: str) -> Word:
-    """Whitespace-separated letters; tok^N repeats tok N times."""
+    """Whitespace-separated letters; tok^N repeats tok N times.  Raises
+    ValueError for a word of more than WORD_BUDGET letters, before
+    building it."""
     out: list[str] = []
     for tok in text.split():
         base, sep, exp = tok.rpartition("^")
@@ -170,9 +176,11 @@ def parse_word(text: str) -> Word:
                 raise ValueError(f"bad repeat count in {tok!r}")
             if n < 0:
                 raise ValueError(f"negative repeat count in {tok!r}")
-            out.extend([base] * n)
         else:
-            out.append(tok)
+            base, n = tok, 1
+        if len(out) + n > WORD_BUDGET:
+            raise ValueError(f"word has more than {WORD_BUDGET} letters")
+        out.extend([base] * n)
     return tuple(out)
 
 

@@ -44,8 +44,9 @@ from counternet.analysis import (
     selector_box,
     triple_box,
 )
-from counternet.core import CounterNet, FrontierGraph, Run, Transition, accepts, replay, validate
-from counternet.constructions import project
+from counternet.core import (
+    CounterNet, FrontierGraph, Run, Transition, accepts, enumerate_runs, replay, validate)
+from counternet.constructions import project, trim, union
 from counternet.zoo import (
     SEGMENT_ALPHABET,
     SegmentedWord,
@@ -166,24 +167,59 @@ def _cycles_by_definition(run, lo, hi):
     return out
 
 
-def test_find_cycles_matches_definition_on_random_unary_runs():
+def test_find_cycles_matches_definition_on_random_runs():
+    # random walks whose counters may dip (regime Z), over unary one-counter
+    # nets and over two-letter nets of dimension 1 to 3, plus N-runs from
+    # enumerate_runs, each on the whole run and on random scopes
     rng = random.Random(2307)
-    for _ in range(60):
-        net = random_unary_1cn(rng, max_states=4)
-        # a random walk through the net; counters may dip, which cycle
-        # discovery does not look at
-        state, trail = sorted(net.initial)[0], []
-        for _ in range(rng.randint(0, 40)):
-            t = rng.choice([t for t in net.transitions if t.source == state])
-            trail.append(t)
-            state = t.target
-        run = replay(sorted(net.initial)[0], (rng.randint(0, 4),), trail, regime="Z")
-        last = len(run.configs) - 1
-        assert find_cycles(run) == _cycles_by_definition(run, 0, last)
-        for _ in range(5):
-            lo = rng.randint(0, last)
-            hi = rng.randint(lo, last)
-            assert find_cycles(run, (lo, hi)) == _cycles_by_definition(run, lo, hi)
+    for case in range(180):
+        if case < 60:
+            net = random_unary_1cn(rng, max_states=4)
+        else:
+            net = random_cn(rng, dim=rng.randint(1, 3), max_states=5)
+        start = sorted(net.initial)[0]
+        state, trail = start, []
+        for _ in range(rng.randint(0, 60)):
+            moves = [t for t in net.transitions if t.source == state]
+            if not moves:
+                break
+            trail.append(rng.choice(moves))
+            state = trail[-1].target
+        v0 = tuple(rng.randint(0, 4) for _ in range(net.dimension))
+        runs = [replay(start, v0, trail, regime="Z")]
+        word = tuple(rng.choice(sorted(net.alphabet)) for _ in range(rng.randint(0, 12)))
+        runs += enumerate_runs(net, word, start, v0, accepting_only=False, cap=3).runs
+        for run in runs:
+            last = len(run.configs) - 1
+            assert find_cycles(run) == _cycles_by_definition(run, 0, last)
+            for _ in range(5):
+                lo = rng.randint(0, last)
+                hi = rng.randint(lo, last)
+                assert find_cycles(run, (lo, hi)) == _cycles_by_definition(run, lo, hi)
+
+
+def test_find_cycles_is_linear_in_the_run():
+    # twice round 10,000 distinct states: a scan forward from every index
+    # walks the whole cycle (about 19 s), one backward pass does not
+    n = 10_000
+    ring = [Transition(f"s{i}", "a", (1,), f"s{(i + 1) % n}") for i in range(n)]
+    run = replay("s0", (0,), ring * 2)
+    started = perf_counter()
+    cycles = find_cycles(run)
+    elapsed = perf_counter() - started
+    assert [(c.start, c.end) for c in cycles] == [(i, i + n) for i in range(n + 1)]
+    assert {(c.effect, c.sign_class) for c in cycles} == {((n,), SIGN_POSITIVE)}
+    assert elapsed < 2
+
+
+def test_cycle_witness_is_a_named_tuple_with_the_dataclass_repr():
+    w = CycleWitness(0, 2, (1,), SIGN_POSITIVE)
+    assert repr(w) == "CycleWitness(start=0, end=2, effect=(1,), sign_class='strictly-positive')"
+    assert w == (0, 2, (1,), SIGN_POSITIVE) and hash(w) == hash((0, 2, (1,), SIGN_POSITIVE))
+    start, end, effect, sign = w
+    assert (start, end, effect, sign) == (w.start, w.end, w.effect, w.sign_class)
+    with pytest.raises(AttributeError):
+        w.start = 1
 
 
 # --- extracting pumpable cycles ----------------------------------------------
@@ -919,6 +955,24 @@ def test_refuter_guided_ignores_states_off_every_accepting_path():
         res = refute_partition_decomposition(factors, strategy="guided")
         assert (res.word, res.params, res.stats["period"]) == (plain.word, plain.params, 6)
         assert all(accepts(f, res.word) for f in factors)
+
+
+def test_refuter_guided_period_is_the_lcm_of_the_cycle_lengths():
+    # the union has coarse.b's language and six states that trim keeps:
+    # its period is lcm(1..6) = 60, where 6! = 720 gave a word of
+    # 1,558,803 letters after 12.5 s
+    cb, cc = build_coarse_factors()
+    both = union(cb, cb)
+    assert len(trim(both).states) == 6
+    started = perf_counter()
+    res = refute_partition_decomposition([both, cc], strategy="guided")
+    elapsed = perf_counter() - started
+    assert res.stats["period"] == 60
+    assert (res.verdict, res.side) == ("counterexample", "intersection-only")
+    assert res.word == render_segmented(res.params) and len(res.word) == 11_103
+    assert all(accepts(f, res.word) for f in (both, cc))
+    assert not partition_oracle(res.params)
+    assert elapsed < 5
 
 
 def test_refuter_guided_gives_up_without_common_bad_segment():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from counternet import analysis, cli, zoo
+from counternet import analysis, cli, fileformat, zoo
 from counternet.cli import LIFT_BUDGET, main
 from counternet.core import EnumerationCapError
 from counternet.fileformat import parse_machine_file, render_word_text
@@ -89,6 +89,15 @@ def test_check_initial_arity_error(capsys):
 def test_check_bad_word_syntax(capsys):
     rc, _, err = run(capsys, "check", "zoo:P", "--word", "a^x")
     assert rc == 2
+
+
+def test_check_word_past_the_budget_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(fileformat, "WORD_BUDGET", 100)
+    rc, text, err = run(capsys, "check", "zoo:P", "--word", "a^50 # a^50")
+    assert rc == 2 and text == ""
+    assert "word has more than 100 letters" in err
+    rc, text, err = run(capsys, "pump", "zoo:coarse.b", "--word", "a^101")
+    assert rc == 2 and "word has more than 100 letters" in err
 
 
 def test_check_unknown_zoo_entry(capsys):

@@ -554,6 +554,30 @@ def test_enumerate_runs_cap_and_truncation():
     assert cut.truncated
 
 
+def test_enumerate_runs_rejects_an_undeclared_start_state():
+    cb, _ = build_coarse_factors()
+    with pytest.raises(ValueError, match="start state 'nowhere' not declared"):
+        enumerate_runs(cb, ("a",), "nowhere", (0,))
+
+
+def test_enumerate_runs_rejects_a_bad_initial_vector():
+    cb, _ = build_coarse_factors()
+    with pytest.raises(ValueError, match="initial vector has length 3, net dimension is 1"):
+        enumerate_runs(cb, ("a", "a", "#"), "seg", (0, 5, 7))
+    with pytest.raises(ValueError, match="non-negative"):
+        enumerate_runs(cb, ("a",), "seg", (-1,))
+
+
+def test_config_is_a_named_tuple_with_the_dataclass_repr():
+    c = Config("q", (1, 2))
+    assert repr(c) == "Config(state='q', counters=(1, 2))"
+    assert c == ("q", (1, 2)) and hash(c) == hash(("q", (1, 2)))
+    state, counters = c
+    assert (state, counters) == (c.state, c.counters)
+    with pytest.raises(AttributeError):
+        c.state = "p"
+
+
 def test_enumerate_runs_respects_declaration_order():
     net = validate(CounterNet(
         "ord", 0, frozenset({"x"}), ("p", "q", "r"), frozenset({"p"}),

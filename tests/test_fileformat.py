@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from counternet.analysis import compare_nets_walk
 from counternet.core import CounterNet, Transition
+from counternet import fileformat
 from counternet.fileformat import (
     MachineFileError,
     emit_machine_file,
@@ -183,6 +184,16 @@ def test_parse_word_errors():
         parse_word("a^")
     with pytest.raises(ValueError):
         parse_word("a^-2")
+
+
+def test_parse_word_refuses_a_word_past_the_budget(monkeypatch):
+    # a small budget, so a broken check would build a short word, not a huge one
+    monkeypatch.setattr(fileformat, "WORD_BUDGET", 100)
+    assert len(parse_word("a^60 b^40")) == 100
+    assert len(parse_word("a^99 b")) == 100
+    for text in ("a^101", "a^60 b^41", "a^100 b", "b a^1000"):
+        with pytest.raises(ValueError, match="word has more than 100 letters"):
+            parse_word(text)
 
 
 # letters validate accepts: non-empty, no whitespace, no '^'
