@@ -22,6 +22,7 @@ from .core import (
     CounterNet,
     FrontierGraph,
     Run,
+    SweepLimitError,
     Transition,
     Vector,
     Word,
@@ -50,10 +51,6 @@ FORM_SEGMENT_POSITIVE = "segment-positive"
 FORM_ALL_NONNEGATIVE = "all-nonnegative"
 FORM_B_POSITIVE = "b-positive"
 FORM_NONE = "none"
-
-
-class SweepLimitError(RuntimeError):
-    """A word generator was refused because its size exceeds the hard cap."""
 
 
 # ---------------------------------------------------------------------------

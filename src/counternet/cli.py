@@ -25,11 +25,17 @@ import os
 import re
 import sys
 import time
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import analysis, constructions, fileformat, vas, zoo
-from .core import CounterNet, EnumerationCapError, Vector, Word, accepts, enumerate_accepting_runs
+# analysis and vas are imported by the handlers that use them, so the
+# other commands start without them
+from . import constructions, fileformat, zoo
+from .core import (CounterNet, EnumerationCapError, SweepLimitError, Vector, Word, accepts,
+                   enumerate_accepting_runs)
 from .fileformat import render_word_text
+
+if TYPE_CHECKING:
+    from . import analysis
 
 __doc__ = (__doc__ or "").replace("<families>", ", ".join(zoo.FAMILIES))
 _K_HELP = "parameter for zoo:" + "/".join(f for f in zoo.FAMILIES if "k" in f) + " references"
@@ -105,6 +111,7 @@ def _resolve(ref: str, k: Optional[int]) -> CounterNet:
 # words and boxes
 
 def _generator_for(args, nets: Sequence[CounterNet]):
+    from . import analysis
     picks = [x for x in (args.max_len is not None, args.segmented_box is not None,
                          args.box is not None) if x]
     if len(picks) != 1:
@@ -188,6 +195,7 @@ def _comparison_text(report: analysis.ComparisonReport) -> str:
 
 
 def _cmd_eq(args) -> tuple[str, Optional[Word], dict, str]:
+    from . import analysis
     a, b = _pair(args)
     gen = _generator_for(args, [a, b])
     report = analysis.bounded_compare(a, b, gen)
@@ -224,6 +232,7 @@ def _cmd_lift(args) -> tuple[str, Optional[Word], dict, str]:
 
 
 def _cmd_vasify(args) -> tuple[str, Optional[Word], dict, str]:
+    from . import vas
     net = _resolve(args.machine, args.k)
     labels = vas.distinct_label(net)
     result = vas.vasify(labels.net)
@@ -272,6 +281,7 @@ def _cmd_zoo(args) -> tuple[str, Optional[Word], dict, str]:
 
 
 def _cmd_decompose_check(args) -> tuple[str, Optional[Word], dict, str]:
+    from . import analysis
     target = _resolve(args.target, args.k)
     factors = [_resolve(f, args.k) for f in args.factors]
     gen = _generator_for(args, [target, *factors])
@@ -291,12 +301,14 @@ def _cmd_decompose_check(args) -> tuple[str, Optional[Word], dict, str]:
 
 
 def _caps_from(args) -> analysis.SearchCaps:
+    from . import analysis
     # the refute-p flags are spelled like the SearchCaps fields; unset ones keep the defaults
     values = {f.name: getattr(args, f.name) for f in dataclasses.fields(analysis.SearchCaps)}
     return analysis.SearchCaps(**{name: v for name, v in values.items() if v is not None})
 
 
 def _cmd_refute_p(args) -> tuple[str, Optional[Word], dict, str]:
+    from . import analysis
     factors = [_resolve(f, args.k) for f in args.factors]
     result = analysis.refute_partition_decomposition(
         factors, strategy=args.strategy, caps=_caps_from(args), box=args.param_box)
@@ -310,6 +322,7 @@ def _cmd_refute_p(args) -> tuple[str, Optional[Word], dict, str]:
 
 
 def _cmd_pump(args) -> tuple[str, Optional[Word], dict, str]:
+    from . import analysis
     net = _resolve(args.machine, args.k)
     word = fileformat.parse_word(args.word)
     enum = enumerate_accepting_runs(net, word, cap=1)  # only the first run is pumped
@@ -344,6 +357,11 @@ def _cmd_pump(args) -> tuple[str, Optional[Word], dict, str]:
     if cycle is None:
         return "no-cycle", None, stats, "no pumpable cycle of that sign in the scope"
     factorial_of = len(net.states) if args.factorial else None
+    block = analysis.pump_period([net]) if args.factorial else len(cycle.transitions)
+    length = len(word) + args.times * block
+    if length > fileformat.WORD_BUDGET:
+        raise CliError(f"the pumped word would have {length} letters, above the budget of "
+                       f"{fileformat.WORD_BUDGET}")
     pumped = analysis.pump_run(run, cycle, args.times, factorial_of=factorial_of)
     pumped_word = pumped.word()
     stats.update({
@@ -502,7 +520,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, analysis.SweepLimitError) as exc:
+    except (ValueError, SweepLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RecursionError, EnumerationCapError, MemoryError, RuntimeError) as exc:

@@ -29,6 +29,10 @@ class EnumerationCapError(RuntimeError):
     """Raised when a naive path enumeration exceeds its node budget."""
 
 
+class SweepLimitError(RuntimeError):
+    """A word generator was refused because its size exceeds the hard cap."""
+
+
 @dataclass(frozen=True)
 class Transition:
     source: str

@@ -494,6 +494,36 @@ def test_pump_long_segment(capsys):
     assert rep["counterexample"] == "a^3001 # b^3"
 
 
+def test_pump_past_the_word_budget_is_a_usage_error(monkeypatch, capsys):
+    # the README command pumps a 10-letter word to 12 letters (a^8 # b^3);
+    # with --factorial each of its 2 units adds a 3! block, so 22 letters
+    readme = ("pump", "zoo:coarse.b", "--word", "a^6 # b^3", "--segment", "1", "--sign", "pos",
+              "--times", "2")
+    for budget, extra in ((12, ()), (22, ("--factorial",))):
+        monkeypatch.setattr(fileformat, "WORD_BUDGET", budget)
+        rc, text, _ = run(capsys, *readme, *extra)
+        assert rc == 0 and text.startswith("pumped word:")
+        monkeypatch.setattr(fileformat, "WORD_BUDGET", budget - 1)
+        rc, text, err = run(capsys, *readme, *extra)
+        assert rc == 2 and text == ""
+        assert err == (f"error: the pumped word would have {budget} letters, above the budget "
+                       f"of {budget - 1}\n")
+
+
+def test_pump_of_a_huge_run_is_refused_before_it_is_built():
+    # the child's address space is capped at 1 GiB, far above what the CLI
+    # needs and far below a pumped run of 10^8 letters
+    script = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              "from counternet.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "pump", "zoo:coarse.b", "--word", "a^6 # b^3",
+         "--segment", "1", "--sign", "pos", "--times", "100000000"],
+        capture_output=True, text=True, env=_cli_env(), timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: the pumped word would have 100000010 letters, above the "
+                           "budget of 10000000\n")
+
+
 def test_pump_rejected_word(capsys):
     rc, rep, _ = run_json(capsys, "pump", "zoo:coarse.b", "--word", "b^2")
     assert rc == 1
@@ -538,6 +568,12 @@ def test_json_report_shape(capsys):
     assert rep["stats"]["wall_seconds"] >= 0
 
 
+def test_sweep_over_the_hard_cap_is_a_usage_error(capsys):
+    rc, text, err = run(capsys, "eq", "zoo:P", "zoo:P", "--box", "segmented:6,10")
+    assert rc == 2 and text == ""
+    assert err == "error: generator holds 235794757 words, cap is 2000000\n"
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["eq"]) == 2
     assert main(["not-a-command"]) == 2
@@ -567,14 +603,18 @@ def test_internal_failures_exit_three(monkeypatch, capsys, exc_class, flags):
     assert "Traceback" not in err
 
 
+def _cli_env(**extra):
+    """The environment of a child Python that imports this counternet."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _cli_process(stdout):
     """`python -m counternet.cli zoo coarse --emit` writing to stdout, with
     unbuffered writes so the text and its newline reach the pipe apart."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONUNBUFFERED": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.Popen([sys.executable, "-m", "counternet.cli", "zoo", "coarse", "--emit"],
-                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+                            stdout=stdout, stderr=subprocess.PIPE, env=_cli_env(PYTHONUNBUFFERED="1"))
 
 
 def test_closed_stdout_pipe_keeps_the_exit_code_and_stderr_clean():
@@ -595,3 +635,36 @@ def test_closed_stdout_pipe_keeps_the_exit_code_and_stderr_clean():
     assert proc.wait(timeout=60) == 0
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+# --- import footprint -------------------------------------------------------------------
+
+# the README commands, their exit codes and the heavy modules each one loads
+_FOOTPRINT = [
+    (("check", "zoo:P", "--word", "a^10 # a^20 # a^15 # b^15 c^30"), 0, set()),
+    (("eq", "zoo:fig1.main", "zoo:fig1.product", "--box", "triple:8"), 0, {"analysis"}),
+    (("product", "zoo:fig1.b1", "zoo:fig1.b2", "-o", "prod.cn"), 0, set()),
+    (("project", "zoo:P", "--counter", "1", "-o", "first.cn"), 0, set()),
+    (("union", "two.cn:ge", "two.cn:univ", "-o", "either.cn"), 0, set()),
+    (("lift", "two.cn:ge", "--dim", "3", "--placement", "2", "-o", "lifted.cn"), 0, set()),
+    (("zoo", "Hk", "--k", "2", "--emit"), 0, set()),
+    (("vasify", "zoo:Hk", "--k", "2", "--report"), 0, {"vas"}),
+    (("reduce", "two.cn:ge", "two.cn:univ", "-o", "gadget.cn"), 0, set()),
+    (("decompose-check", "zoo:P", "zoo:coarse.b", "zoo:coarse.c", "--segmented-box", "6"), 1,
+     {"analysis"}),
+    (("refute-p", "zoo:coarse.b", "zoo:coarse.c", "--strategy", "guided"), 1, {"analysis"}),
+    (("pump", "zoo:coarse.b", "--word", "a^6 # b^3", "--segment", "1", "--sign", "pos",
+      "--times", "2"), 0, {"analysis"}),
+]
+
+
+@pytest.mark.parametrize("argv, code, heavy", _FOOTPRINT, ids=[a[0] for a, _, _ in _FOOTPRINT])
+def test_each_command_loads_only_the_modules_it_uses(tmp_path, argv, code, heavy):
+    (tmp_path / "two.cn").write_text(GE_FILE)
+    script = ("import sys; from counternet.cli import main; rc = main(sys.argv[1:]); "
+              "print('loaded:', *sorted(sys.modules)); sys.exit(rc)")
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          cwd=tmp_path, env=_cli_env(), timeout=120)
+    assert proc.returncode == code, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split()[1:])
+    assert {"counternet.analysis", "counternet.vas"} & loaded == {f"counternet.{m}" for m in heavy}

@@ -1,0 +1,58 @@
+"""The package exports its names lazily: each resolves on first access to
+the object its module defines, and a bare `import counternet` loads no
+submodule."""
+
+import inspect
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import counternet
+
+SUBMODULES = ("core", "constructions", "analysis", "vas", "zoo", "fileformat", "cli")
+
+
+def test_every_exported_name_is_its_defining_modules_object():
+    assert len(counternet.__all__) == len(set(counternet.__all__)) == 80
+    for name in counternet.__all__:
+        module = import_module(f"counternet.{counternet._ORIGIN[name]}")
+        value = getattr(counternet, name)
+        assert value is getattr(module, name), name
+        if inspect.isclass(value) or inspect.isfunction(value):
+            assert value.__module__ == module.__name__, name
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from counternet import *", namespace)
+    assert {k for k in namespace if k != "__builtins__"} == set(counternet.__all__)
+    assert all(namespace[name] is getattr(counternet, name) for name in counternet.__all__)
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="module 'counternet' has no attribute 'nope'"):
+        counternet.nope
+    assert not hasattr(counternet, "_private")
+    with pytest.raises(ImportError):
+        exec("from counternet import nope", {})
+
+
+def test_bare_import_loads_no_submodule_until_one_is_named():
+    # a fresh interpreter: this one has imported every module already
+    script = ("import sys, counternet\n"
+              "print(sorted(m for m in sys.modules if m.startswith('counternet.')))\n"
+              f"for name in {SUBMODULES!r}:\n"
+              "    assert getattr(counternet, name) is sys.modules['counternet.' + name], name\n"
+              "    assert name in dir(counternet), name\n"
+              "print(counternet.__version__)\n")
+    src = str(Path(counternet.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "0.1.0"]
