@@ -680,7 +680,10 @@ def compare_nets_walk(a: CounterNet, b: CounterNet, max_len: int, node_cap: int 
                 return ComparisonReport("left-only" if la else "right-only", word, None, checked)
             if len(prefix) == max_len:
                 continue
+            ra, rb = ga.reads[ia], gb.reads[ib]
             for letter in letters:
+                if letter not in ra and letter not in rb:
+                    continue  # neither frontier reads it: both successors are empty
                 pair = ga.step(ia, letter), gb.step(ib, letter)
                 if not (ga.frontiers[pair[0]] or gb.frontiers[pair[1]]) or pair in seen:
                     continue  # both dead, no extension can mismatch; or expanded already

@@ -79,19 +79,28 @@ class CounterNet:
         return {k: tuple(v) for k, v in table.items()}
 
     @cached_property
-    def _step_rows(self) -> dict[tuple[str, str], tuple[tuple[str, Optional[Vector], Optional[Vector]], ...]]:
+    def _step_rows(self) -> dict[str, dict[str, tuple[tuple[str, Optional[Vector], Optional[Vector]], ...]]]:
         """step_table as the (target, effect, floor) rows step_frontier
-        reads, built on first use: effect is None when it is all zeros,
-        floor is the least vector the effect keeps non-negative, None when
-        no coordinate of the effect is negative."""
-        return {
-            key: tuple(
+        reads, letter first (letter -> state -> rows), built on first use:
+        effect is None when it is all zeros, floor is the least vector the
+        effect keeps non-negative, None when no coordinate of the effect is
+        negative."""
+        rows: dict[str, dict[str, tuple]] = {}
+        for (state, letter), ts in self.step_table.items():
+            rows.setdefault(letter, {})[state] = tuple(
                 (t.target,
                  t.effect if any(t.effect) else None,
                  tuple(max(0, -e) for e in t.effect) if min(t.effect, default=0) < 0 else None)
                 for t in ts)
-            for key, ts in self.step_table.items()
-        }
+        return rows
+
+    @cached_property
+    def _reads(self) -> dict[str, frozenset[str]]:
+        """state -> the letters it has a transition on, built on first use."""
+        letters: dict[str, set[str]] = {}
+        for state, letter in self.step_table:
+            letters.setdefault(state, set()).add(letter)
+        return {q: frozenset(ls) for q, ls in letters.items()}
 
 
 class Config(NamedTuple):
@@ -273,22 +282,33 @@ def step_frontier(net: CounterNet, frontier: Frontier, letter: str) -> Frontier:
     an antichain, so a target reached by one image takes it as is; only
     targets where two or more images merge are filtered by _maximal.
 
-    A letter without transitions (including letters outside the alphabet)
-    produces an empty frontier.
+    A letter no state reads (including letters outside the alphabet)
+    produces an empty frontier at once.
     """
-    rows = net._step_rows
-    parts: dict[str, list[frozenset[Vector]]] = {}
+    rows = net._step_rows.get(letter)
+    if rows is None:
+        return {}
+    out: Frontier = {}
+    merged: dict[str, set[Vector]] = {}  # targets reached by two or more images
     for state, vectors in frontier.items():
-        for target, effect, floor in rows.get((state, letter), ()):
+        for target, effect, floor in rows.get(state, ()):
             if effect is None:
                 image = vectors
             elif floor is None:
                 image = frozenset([tuple(map(add, v, effect)) for v in vectors])
             else:
                 image = frozenset([tuple(map(add, v, effect)) for v in vectors if all(map(ge, v, floor))])
-            if image:
-                parts.setdefault(target, []).append(image)
-    return {q: ps[0] if len(ps) == 1 else _maximal(set().union(*ps)) for q, ps in parts.items()}
+            if not image:
+                continue
+            if target in merged:
+                merged[target].update(image)
+            elif target in out:
+                merged[target] = {*out[target], *image}
+            else:
+                out[target] = image
+    for target, vectors in merged.items():
+        out[target] = _maximal(vectors)
+    return out
 
 
 def initial_frontier(net: CounterNet, initial: Optional[Sequence[int]] = None) -> Frontier:
@@ -326,9 +346,11 @@ class FrontierGraph:
     """The frontiers a net reaches from one start vector, each kept once.
 
     A frontier gets an integer id on first sight, the start being 0;
-    frontiers[i] and accepting[i] describe it, and step(i, letter) is
-    memoised, so a sweep steps each (frontier, letter) pair once however
-    many prefixes reach it.  Counters that grow with the word give
+    frontiers[i] and accepting[i] describe it, reads[i] holds the letters
+    some state of it has a transition on (any other letter steps it to the
+    empty frontier), and step(i, letter) is memoised in the successor table
+    of frontier i, so a sweep steps each (frontier, letter) pair once
+    however many prefixes reach it.  Counters that grow with the word give
     unboundedly many frontiers, yet never more than the distinct prefixes
     decided.  The graph lives as long as the object.
     """
@@ -337,8 +359,9 @@ class FrontierGraph:
         self.net = net
         self.frontiers: list[Frontier] = []
         self.accepting: list[bool] = []
+        self.reads: list[frozenset[str]] = []
         self._ids: dict[frozenset, int] = {}
-        self._edges: dict[tuple[int, str], int] = {}
+        self._succ: list[dict[str, int]] = []
         self._intern(initial_frontier(net, initial))
 
     def _intern(self, frontier: Frontier) -> int:
@@ -348,26 +371,32 @@ class FrontierGraph:
             i = self._ids[key] = len(self.frontiers)
             self.frontiers.append(frontier)
             self.accepting.append(frontier_accepts(self.net, frontier))
+            by_state = self.net._reads
+            self.reads.append(frozenset().union(*(by_state.get(q, ()) for q in frontier)))
+            self._succ.append({})
         return i
 
     def step(self, i: int, letter: str) -> int:
-        j = self._edges.get((i, letter))
+        succ = self._succ[i]
+        j = succ.get(letter)
         if j is None:
-            j = self._edges[i, letter] = self._intern(step_frontier(self.net, self.frontiers[i], letter))
+            j = succ[letter] = self._intern(step_frontier(self.net, self.frontiers[i], letter))
         return j
 
     def accepts(self, word: Sequence[str]) -> bool:
         """accepts(net, word, initial), never stepping past an empty frontier."""
+        frontiers, succ = self.frontiers, self._succ
         i = 0
         for letter in word:
-            if not self.frontiers[i]:
+            if not frontiers[i]:
                 return False
-            i = self.step(i, letter)
+            j = succ[i].get(letter)
+            i = self.step(i, letter) if j is None else j
         return self.accepting[i]
 
     def words(self, max_len: int) -> set[Word]:
         """Every accepted word of at most max_len letters, depth first over
-        the graph without extending an empty frontier."""
+        the graph, extending a frontier only by the letters it reads."""
         if max_len < 0:
             raise ValueError(f"word length bound must be >= 0, got {max_len}")
         letters = sorted(self.net.alphabet)
@@ -377,8 +406,9 @@ class FrontierGraph:
             i, word = stack.pop()
             if self.accepting[i]:
                 found.add(word)
-            if len(word) < max_len and self.frontiers[i]:
-                stack.extend((self.step(i, x), word + (x,)) for x in letters)
+            reads = self.reads[i]
+            if len(word) < max_len and reads:
+                stack.extend((self.step(i, x), word + (x,)) for x in letters if x in reads)
         return found
 
 

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import replace
 from itertools import islice, product as cartesian
 from time import perf_counter
 
@@ -767,6 +768,24 @@ def test_walk_node_counts_are_pinned():
         assert (rep.verdict, rep.checked) == ("equal", nodes)
 
 
+def test_walk_step_counts_are_pinned(monkeypatch):
+    """Frontier steps of the walks above.  A letter that neither frontier of
+    a pair reads is skipped; stepping every letter would take 11,179, 6,960
+    and 10,010 steps."""
+    import counternet.core as core_mod
+    calls = []
+    real = core_mod.step_frontier
+    monkeypatch.setattr(core_mod, "step_frontier",
+                        lambda net, frontier, letter: calls.append(letter) or real(net, frontier, letter))
+    rep = compare_nets_walk(build_selector_dcn(3), build_selector_ncn(3), 12)
+    assert (rep.checked, len(calls)) == (1547, 3_961)
+    for net, nodes, steps in ((build_paired_dcn(3), 781, 3_330), (build_selector_dcn(3), 946, 2_880)):
+        calls.clear()
+        factors = [project(net, i) for i in range(1, net.dimension + 1)]
+        rep = check_decomposition(net, factors, all_words(net.alphabet, 10))
+        assert (rep.checked, len(calls)) == (nodes, steps)
+
+
 def brute_first_mismatch(a, b, max_len):
     for n in range(max_len + 1):
         for w in cartesian(sorted(a.alphabet), repeat=n):
@@ -786,6 +805,64 @@ def test_walk_agrees_with_brute_force(seed):
     rep = compare_nets_walk(a, b, 4)
     assert rep.verdict == verdict
     assert rep.counterexample == word
+
+
+def _walk_every_letter(a, b, max_len):
+    """The joint walk stepping every letter of every expanded pair, read
+    or not: the reference compare_nets_walk is checked against."""
+    letters = sorted(a.alphabet)
+    ga, gb = FrontierGraph(a), FrontierGraph(b)
+    seen = {(0, 0)}
+    queue = [(0, 0, ())]
+    checked = 0
+    while queue:
+        next_queue = []
+        for ia, ib, prefix in queue:
+            checked += 1
+            la, lb = ga.accepting[ia], gb.accepting[ib]
+            if la != lb:
+                return ("left-only" if la else "right-only", prefix, checked)
+            if len(prefix) == max_len:
+                continue
+            for letter in letters:
+                pair = ga.step(ia, letter), gb.step(ib, letter)
+                if not (ga.frontiers[pair[0]] or gb.frontiers[pair[1]]) or pair in seen:
+                    continue
+                seen.add(pair)
+                next_queue.append((*pair, prefix + (letter,)))
+        queue = next_queue
+    return ("equal", None, checked)
+
+
+def _with_letter_z(net, rng, readers):
+    """net over LETTERS plus z, which the first readers states read."""
+    d = net.dimension
+    ts = tuple(Transition(q, "z", tuple(rng.randint(-1, 2) for _ in range(d)), rng.choice(net.states))
+               for q in net.states[:readers])
+    return validate(replace(net, alphabet=net.alphabet | {"z"}, transitions=net.transitions + ts))
+
+
+def test_walk_matches_the_every_letter_walk_on_random_nets():
+    """z is read by some states of one side and by no state of the other,
+    so the walk skips it at many pairs and steps it at others."""
+    rng = random.Random(14)
+    verdicts = set()
+    for dim in range(4):
+        for depth in range(6):
+            for _ in range(5):
+                a, b = (random_cn(rng, dim=dim, max_states=4) for _ in range(2))
+                a = _with_letter_z(a, rng, rng.randint(1, len(a.states)))
+                b = _with_letter_z(b, rng, 0)
+                if rng.random() < 0.5:
+                    a, b = b, a
+                rep = compare_nets_walk(a, b, depth)
+                expected = _walk_every_letter(a, b, depth)
+                assert (rep.verdict, rep.counterexample, rep.checked) == expected
+                verdicts.add(rep.verdict)
+                words = [item.word for item in all_words(a.alphabet, depth)]
+                for net in (a, b):
+                    assert FrontierGraph(net).words(depth) == {w for w in words if accepts(net, w)}
+    assert verdicts == {"equal", "left-only", "right-only"}
 
 
 # --- decomposition checking ---------------------------------------------------------

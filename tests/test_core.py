@@ -334,6 +334,35 @@ def test_step_frontier_unknown_letter_is_empty():
     assert step_frontier(p, initial_frontier(p), "z") == {}
 
 
+def test_step_frontier_merges_three_images_and_returns_empty_for_unread_letters():
+    """Four images land on t: s1's zero-effect loop and a non-negative one,
+    s2's non-negative one, and s3's negative one, whose floor (2, 0) drops
+    (1, 5).  u is reached by one zero-effect image and takes s2's set as
+    is.  o is in the alphabet but no state reads it; z is not in it."""
+    net = validate(CounterNet(
+        "merge", 2, frozenset("mno"), ("s1", "s2", "s3", "t", "u"), ("s1",), ("t",), (
+            Transition("s1", "m", (0, 0), "t"),
+            Transition("s2", "m", (1, 0), "t"),
+            Transition("s3", "m", (-2, 1), "t"),
+            Transition("s1", "m", (0, 3), "t"),
+            Transition("s2", "m", (0, 0), "u"),
+            Transition("s1", "n", (0, 0), "u"),
+        )))
+    frontier = {"s1": frozenset({(3, 0), (0, 2)}),
+                "s2": frozenset({(2, 1), (0, 3)}),
+                "s3": frozenset({(1, 5), (4, 0), (2, 2)})}
+    ours = step_frontier(net, frontier, "m")
+    assert ours == _insert_fold(net, frontier, "m") == {"t": {(3, 3), (0, 5)}, "u": {(2, 1), (0, 3)}}
+    assert all(isinstance(vs, frozenset) and is_antichain(vs) for vs in ours.values())
+    assert ours["u"] is frontier["s2"]
+    assert step_frontier(net, frontier, "n") == _insert_fold(net, frontier, "n")
+    assert step_frontier(net, frontier, "o") == {}
+    assert step_frontier(net, frontier, "z") == {}
+    graph = FrontierGraph(net)
+    assert graph.reads[0] == {"m", "n"}
+    assert graph.reads[graph.step(0, "n")] == frozenset()
+
+
 def test_frontiers_stay_antichains_along_partition_words():
     p = build_partition_net()
     f = initial_frontier(p)
