@@ -350,7 +350,10 @@ class FrontierGraph:
     some state of it has a transition on (any other letter steps it to the
     empty frontier), and step(i, letter) is memoised in the successor table
     of frontier i, so a sweep steps each (frontier, letter) pair once
-    however many prefixes reach it.  Counters that grow with the word give
+    however many prefixes reach it.  accepting[i] and reads[i] depend only
+    on the states of frontier i (no frontier holds an empty vector set), so
+    they are derived once per state set and frontiers with the same states
+    share one reads object.  Counters that grow with the word give
     unboundedly many frontiers, yet never more than the distinct prefixes
     decided.  The graph lives as long as the object.
     """
@@ -362,6 +365,7 @@ class FrontierGraph:
         self.reads: list[frozenset[str]] = []
         self._ids: dict[frozenset, int] = {}
         self._succ: list[dict[str, int]] = []
+        self._by_states: dict[frozenset[str], tuple[bool, frozenset[str]]] = {}
         self._intern(initial_frontier(net, initial))
 
     def _intern(self, frontier: Frontier) -> int:
@@ -370,9 +374,15 @@ class FrontierGraph:
         if i is None:
             i = self._ids[key] = len(self.frontiers)
             self.frontiers.append(frontier)
-            self.accepting.append(frontier_accepts(self.net, frontier))
-            by_state = self.net._reads
-            self.reads.append(frozenset().union(*(by_state.get(q, ()) for q in frontier)))
+            states = frozenset(frontier)
+            derived = self._by_states.get(states)
+            if derived is None:
+                by_state = self.net._reads
+                derived = self._by_states[states] = (
+                    not self.net.accepting.isdisjoint(states),
+                    frozenset().union(*(by_state.get(q, ()) for q in states)))
+            self.accepting.append(derived[0])
+            self.reads.append(derived[1])
             self._succ.append({})
         return i
 
@@ -396,19 +406,27 @@ class FrontierGraph:
 
     def words(self, max_len: int) -> set[Word]:
         """Every accepted word of at most max_len letters, depth first over
-        the graph, extending a frontier only by the letters it reads."""
+        the graph's live edges: a frontier is extended only by the letters
+        it reads whose successor frontier is not empty.  Each frontier's
+        live edges are listed once per call, in sorted letter order, and
+        kept only for the call."""
         if max_len < 0:
             raise ValueError(f"word length bound must be >= 0, got {max_len}")
         letters = sorted(self.net.alphabet)
+        live: dict[int, list[tuple[str, int]]] = {}
         found: set[Word] = set()
         stack: list[tuple[int, Word]] = [(0, ())]
         while stack:
             i, word = stack.pop()
             if self.accepting[i]:
                 found.add(word)
-            reads = self.reads[i]
-            if len(word) < max_len and reads:
-                stack.extend((self.step(i, x), word + (x,)) for x in letters if x in reads)
+            if len(word) < max_len:
+                edges = live.get(i)
+                if edges is None:
+                    reads = self.reads[i]
+                    steps = ((x, self.step(i, x)) for x in letters if x in reads)
+                    edges = live[i] = [(x, j) for x, j in steps if self.frontiers[j]]
+                stack.extend((j, word + (x,)) for x, j in edges)
         return found
 
 

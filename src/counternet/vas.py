@@ -17,7 +17,9 @@ shared source); verify_pipeline reports these rather than failing them.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, replace
+from operator import add
 from typing import Optional
 
 from .core import (
@@ -209,8 +211,16 @@ def check_gating(
     be blocked by the original coordinates.
 
     Returns (violations, nodes visited, walk exhausted before caps).
+
+    The work is indexed once per call: the expected letters of each
+    pattern, and per control tuple val[k:] the transitions its control
+    coordinates allow, so a node tests its original coordinates only on
+    those.  Flat letters are distinct, so the enabled transitions are
+    exactly those whose letter is enabled.
     """
     k = result.source.dimension
+    expected_of = {p: expected_enabled(result, *p) for p in result.patterns.values()}
+    by_control: dict[Vector, tuple[list[Transition], set[str]]] = {}
     seen = {result.initial}
     frontier = [result.initial]
     violations: list[GatingViolation] = []
@@ -222,28 +232,27 @@ def check_gating(
         next_frontier = []
         for val in frontier:
             visited += 1
+            control = val[k:]
+            if control not in by_control:
+                ts = [t for t in result.net.transitions if all(v + e >= 0 for v, e in zip(control, t.effect[k:]))]
+                by_control[control] = (ts, {t.letter for t in ts})
+            allowed, control_enabled = by_control[control]
+            moves = [t for t in allowed if all(v + e >= 0 for v, e in zip(val[:k], t.effect))]
+            enabled = {t.letter for t in moves}
             pattern = classify_control(result, val)
-            enabled = enabled_letters(result, val)
             if pattern is None:
                 violations.append(GatingViolation(val, None, enabled, None))
                 continue
-            kind, state = pattern
-            expected = expected_enabled(result, kind, state)
-            control_enabled = {
-                t.letter for t in result.net.transitions
-                if all(v + e >= 0 for v, e in zip(val[k:], t.effect[k:]))
-            }
+            expected = expected_of[pattern]
             ok = control_enabled == expected and enabled <= expected
-            if kind != "mid2" and enabled != expected:
+            if pattern[0] != "mid2" and enabled != expected:
                 # phases 1 and 2 touch no original coordinate, so the
                 # full enabled set must match exactly
                 ok = False
             if not ok:
                 violations.append(GatingViolation(val, pattern, enabled, expected))
-            for t in result.net.transitions:
-                if t.letter not in enabled:
-                    continue
-                succ = tuple(v + e for v, e in zip(val, t.effect))
+            for t in moves:
+                succ = tuple(map(add, val, t.effect))
                 if succ not in seen:
                     seen.add(succ)
                     if len(seen) > node_cap:
@@ -313,15 +322,14 @@ def verify_pipeline(
 
     flat_words = flat.words(flat_len)
     closed_images = expanded | {()}
-    extras = sorted((w for w in flat_words if w not in closed_images),
-                    key=lambda x: (len(x), x))
+    extras = [w for w in flat_words if w not in closed_images]
 
     violations, visited, complete = check_gating(result, explore_depth)
     return PipelineReport(
         labelled_matches=labelled_matches,
         containment_ok=not failures,
         containment_failures=tuple(failures),
-        extra_members=tuple(extras[:20]),
+        extra_members=tuple(heapq.nsmallest(20, extras, key=lambda x: (len(x), x))),
         extra_count=len(extras),
         gating_ok=not violations,
         gating_violations=len(violations),

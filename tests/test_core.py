@@ -542,6 +542,53 @@ def test_frontier_graph_holds_distinct_frontiers_of_a_sweep(monkeypatch):
     assert answers[::97] == [accepts(p, w) for w in words[::97]]
 
 
+def _words_every_read_letter(graph, max_len):
+    """The depth-first walk extending each prefix by every letter its
+    frontier reads, dead successors included: the reference
+    FrontierGraph.words is checked against."""
+    letters = sorted(graph.net.alphabet)
+    found = set()
+    stack = [(0, ())]
+    while stack:
+        i, w = stack.pop()
+        if graph.accepting[i]:
+            found.add(w)
+        if len(w) < max_len:
+            stack.extend((graph.step(i, x), w + (x,)) for x in letters if x in graph.reads[i])
+    return found
+
+
+def test_words_matches_the_every_read_letter_walk_on_random_and_flat_nets():
+    from counternet.vas import distinct_label, vasify
+    rng = random.Random(15)
+    for _ in range(30):
+        dim = rng.randint(0, 2)
+        net = random_cn(rng, dim=dim, max_states=4)
+        initial = tuple(rng.randint(0, 2) for _ in range(dim))
+        result = vasify(distinct_label(random_dcn(rng, dim=dim, max_states=3)).net)
+        for case in ((net, None), (net, initial), (result.net, result.initial)):
+            graph, reference = FrontierGraph(*case), FrontierGraph(*case)
+            for depth in range(6):
+                assert graph.words(depth) == _words_every_read_letter(reference, depth)
+
+
+def test_frontier_graph_derives_accepting_and_reads_once_per_state_set():
+    rng = random.Random(2307)
+    shared = 0
+    for _ in range(40):
+        net = random_cn(rng, dim=rng.randint(0, 2), max_states=5)
+        graph = FrontierGraph(net)
+        graph.words(5)
+        by_states = {}
+        for i, frontier in enumerate(graph.frontiers):
+            assert graph.accepting[i] == frontier_accepts(net, frontier)
+            assert graph.reads[i] == {t.letter for t in net.transitions if t.source in frontier}
+            first = by_states.setdefault(frozenset(frontier), i)
+            assert graph.reads[i] is graph.reads[first]
+            shared += first != i
+    assert shared > 0
+
+
 def test_step_table_is_kept_on_the_net_and_ignored_by_equality():
     p = build_partition_net()
     table = p.step_table

@@ -6,6 +6,8 @@ import pytest
 from counternet.analysis import all_words
 from counternet.core import CounterNet, FrontierGraph, Transition, accepts, validate
 from counternet.vas import (
+    GatingViolation,
+    PipelineReport,
     VAS_STATE,
     check_gating,
     classify_control,
@@ -17,7 +19,7 @@ from counternet.vas import (
     vasify,
     verify_pipeline,
 )
-from counternet.zoo import build_paired_dcn, build_partition_net, build_selector_ncn
+from counternet.zoo import build_paired_dcn, build_partition_net, build_selector_dcn, build_selector_ncn
 
 from randnets import random_dcn
 
@@ -224,10 +226,9 @@ def test_triplet_transform():
 
 # --- the corrected second phase ----------------------------------------------------
 
-def test_zeroed_phase_two_breaks_gating():
-    # dropping the third control component of the middle phase parks the
-    # net off-pattern after two letters; the walk must notice
-    result = vasify(single_step_net())
+def _zeroed_phase_two(result):
+    """result with the third control component of every phase-2 effect
+    zeroed."""
     k = result.source.dimension
     patched = []
     for t in result.net.transitions:
@@ -236,12 +237,81 @@ def test_zeroed_phase_two_breaks_gating():
             patched.append(Transition(t.source, t.letter, effect, t.target))
         else:
             patched.append(t)
-    broken_net = dataclasses.replace(result.net, transitions=tuple(patched))
-    broken = dataclasses.replace(result, net=broken_net)
+    return dataclasses.replace(result, net=dataclasses.replace(result.net, transitions=tuple(patched)))
+
+
+def test_zeroed_phase_two_breaks_gating():
+    # dropping the third control component of the middle phase parks the
+    # net off-pattern after two letters; the walk must notice
+    broken = _zeroed_phase_two(vasify(single_step_net()))
     violations, _, _ = check_gating(broken)
     assert violations
     off = [v for v in violations if v.pattern is None]
     assert off, "expected an unclassifiable valuation"
+
+
+def _check_gating_every_transition(result, max_depth=12, node_cap=20000):
+    """check_gating testing every transition of the flat net at every node:
+    the reference the indexed walk is checked against."""
+    k = result.source.dimension
+    seen = {result.initial}
+    frontier = [result.initial]
+    violations = []
+    visited = 0
+    complete = True
+    for _ in range(max_depth):
+        if not frontier:
+            break
+        next_frontier = []
+        for val in frontier:
+            visited += 1
+            pattern = classify_control(result, val)
+            enabled = enabled_letters(result, val)
+            if pattern is None:
+                violations.append(GatingViolation(val, None, enabled, None))
+                continue
+            kind, state = pattern
+            expected = expected_enabled(result, kind, state)
+            control_enabled = {
+                t.letter for t in result.net.transitions
+                if all(v + e >= 0 for v, e in zip(val[k:], t.effect[k:]))
+            }
+            ok = control_enabled == expected and enabled <= expected
+            if kind != "mid2" and enabled != expected:
+                ok = False
+            if not ok:
+                violations.append(GatingViolation(val, pattern, enabled, expected))
+            for t in result.net.transitions:
+                if t.letter not in enabled:
+                    continue
+                succ = tuple(v + e for v, e in zip(val, t.effect))
+                if succ not in seen:
+                    seen.add(succ)
+                    if len(seen) > node_cap:
+                        complete = False
+                    else:
+                        next_frontier.append(succ)
+        frontier = next_frontier
+    if frontier:
+        complete = False
+    return violations, visited, complete
+
+
+def test_gating_matches_the_every_transition_walk():
+    rng = random.Random(15)
+    outcomes = set()
+    for _ in range(40):
+        result = vasify(distinct_label(random_dcn(rng, dim=rng.randint(0, 2))).net)
+        for depth, cap in ((12, 20000), (6, 40)):
+            got = check_gating(result, depth, cap)
+            assert got == _check_gating_every_transition(result, depth, cap)
+            outcomes.add(got[2])
+    assert outcomes == {True, False}
+    for net in (single_step_net(), build_paired_dcn(2)):
+        broken = _zeroed_phase_two(vasify(distinct_label(net).net))
+        got = check_gating(broken)
+        assert got[0]
+        assert got == _check_gating_every_transition(broken)
 
 
 # --- end to end ----------------------------------------------------------------------
@@ -288,3 +358,40 @@ def test_pipeline_on_plain_automaton():
     assert rep.stats["gating_complete"] in (True, False)
     with pytest.raises(ValueError):
         verify_pipeline(toggle, max_len=-1)
+
+
+PAIRED_EXTRAS = (
+    ('g2_1',), ('g3_1',), ('g0_1', 'g1_2'), ('g0_1', 'g2_2'), ('g0_1', 'g3_2'),
+    ('g1_1', 'g0_2'), ('g1_1', 'g2_2'), ('g1_1', 'g3_2'), ('g2_1', 'g0_2'), ('g2_1', 'g1_2'),
+    ('g2_1', 'g2_2'), ('g2_1', 'g3_2'), ('g3_1', 'g0_2'), ('g3_1', 'g1_2'), ('g3_1', 'g2_2'),
+    ('g3_1', 'g3_2'), ('g0_1', 'g0_2', 'g1_3'), ('g0_1', 'g1_2', 'g0_3'), ('g0_1', 'g1_2', 'g1_3'),
+    ('g0_1', 'g2_2', 'g0_3'),
+)
+SELECTOR_EXTRAS = (
+    ('g0_1',), ('g1_1',), ('g0_1', 'g0_2'), ('g0_1', 'g1_2'), ('g0_1', 'g2_2'),
+    ('g0_1', 'g3_2'), ('g1_1', 'g0_2'), ('g1_1', 'g1_2'), ('g1_1', 'g2_2'), ('g1_1', 'g3_2'),
+    ('g2_1', 'g0_2'), ('g2_1', 'g1_2'), ('g2_1', 'g3_2'), ('g3_1', 'g0_2'), ('g3_1', 'g1_2'),
+    ('g3_1', 'g2_2'), ('g0_1', 'g0_2', 'g0_3'), ('g0_1', 'g0_2', 'g1_3'), ('g0_1', 'g0_2', 'g2_3'),
+    ('g0_1', 'g0_2', 'g3_3'),
+)
+
+
+@pytest.mark.parametrize("net, extra_count, extras, stats", [
+    (build_paired_dcn(2), 4471, PAIRED_EXTRAS,
+     {"labelled_words": 80, "flat_words": 4501, "expanded_prefixes": 238,
+      "gating_nodes": 48, "gating_complete": False}),
+    (build_selector_dcn(2), 5114, SELECTOR_EXTRAS,
+     {"labelled_words": 68, "flat_words": 5141, "expanded_prefixes": 204,
+      "gating_nodes": 66, "gating_complete": False}),
+], ids=["paired_dcn_2", "selector_dcn_2"])
+def test_pipeline_report_at_the_defaults_is_pinned(net, extra_count, extras, stats):
+    assert verify_pipeline(net) == PipelineReport(
+        labelled_matches=True,
+        containment_ok=True,
+        containment_failures=(),
+        extra_members=extras,
+        extra_count=extra_count,
+        gating_ok=True,
+        gating_violations=0,
+        stats=stats,
+    )
