@@ -37,9 +37,7 @@ from .zoo import (
     SegmentedWord,
     SelectorWord,
     partition_oracle,
-    render_paired,
     render_segmented,
-    render_selector,
 )
 
 SIGN_POSITIVE = "strictly-positive"
@@ -455,8 +453,10 @@ def _family_holds(net: CounterNet, witness: BadSegmentWitness, x: int, y: int, z
 # ---------------------------------------------------------------------------
 # bounded comparison
 
-@dataclass(frozen=True)
-class GenItem:
+class GenItem(NamedTuple):
+    """One word of a generator, with the parameter object it was built from
+    (None for words with no parameters)."""
+
     word: Word
     params: object = None
 
@@ -500,6 +500,17 @@ class WordBox:
         return self.items()
 
 
+# The boxes join each word from letter blocks built once per pass,
+# blocks[n] = (letter,) * n + end, into the word zoo.render_* gives.
+
+def _blocks(letter: str, cap: int, end: Word = ()) -> list[Word]:
+    return [(letter,) * n + end for n in range(cap + 1)]
+
+
+def _joined(blocks: Iterable[list[Word]], counts: Iterable[int]) -> Word:
+    return tuple(itertools.chain.from_iterable(b[n] for b, n in zip(blocks, counts)))
+
+
 def segmented_box(t_max: int, seg_max: int, b_max: Optional[int] = None, c_max: Optional[int] = None) -> WordBox:
     """Every SegmentedWord with at most t_max segments and parameters up
     to the caps, ordered by rendered length then parameters."""
@@ -508,16 +519,19 @@ def segmented_box(t_max: int, seg_max: int, b_max: Optional[int] = None, c_max: 
     _nonnegative(t_max=t_max, seg_max=seg_max, b_max=b_max, c_max=c_max)
 
     def items() -> Iterator[GenItem]:
-        # per t, each segment tuple with its length t + sum(segs), in lexicographic order
-        tuples = [[(segs, t + sum(segs)) for segs in itertools.product(range(seg_max + 1), repeat=t)]
+        a_hash = itertools.repeat(_blocks("a", seg_max, ("#",)))  # the same blocks for every segment
+        bs, cs = _blocks("b", b_max), _blocks("c", c_max)
+        # per t, each segment tuple with its length t + sum(segs) and its
+        # rendered segments, in lexicographic order
+        tuples = [[(segs, t + sum(segs), _joined(a_hash, segs))
+                   for segs in itertools.product(range(seg_max + 1), repeat=t)]
                   for t in range(t_max + 1)]
         for length in range(t_max * (seg_max + 1) + b_max + c_max + 1):
             for segs_t in tuples:
-                for segs, base in segs_t:
+                for segs, base, head in segs_t:
                     rest = length - base  # m_b + m_c
                     for m_b in range(max(0, rest - c_max), min(b_max, rest) + 1):
-                        sw = SegmentedWord(segs, m_b, rest - m_b)
-                        yield GenItem(render_segmented(sw), sw)
+                        yield GenItem(head + bs[m_b] + cs[rest - m_b], SegmentedWord(segs, m_b, rest - m_b))
 
     count = sum((seg_max + 1) ** t for t in range(t_max + 1)) * (b_max + 1) * (c_max + 1)
     return WordBox(count, items)
@@ -528,14 +542,14 @@ def triple_box(cap: int) -> WordBox:
     _nonnegative(cap=cap)
 
     def items() -> Iterator[GenItem]:
+        a_hash, b_hash, cs = _blocks("a", cap, ("#",)), _blocks("b", cap, ("#",)), _blocks("c", cap)
         for total in range(3 * cap + 1):
             for m in range(min(cap, total) + 1):
                 for n in range(min(cap, total - m) + 1):
                     k = total - m - n
                     if k > cap:
                         continue
-                    word = ("a",) * m + ("#",) + ("b",) * n + ("#",) + ("c",) * k
-                    yield GenItem(word, (m, n, k))
+                    yield GenItem(a_hash[m] + b_hash[n] + cs[k], (m, n, k))
 
     return WordBox((cap + 1) ** 3, items)
 
@@ -549,11 +563,15 @@ def selector_box(k: int, block_max: int, tail_max: Optional[int] = None) -> Word
         raise ValueError(f"k must be >= 1, got {k}")
 
     def items() -> Iterator[GenItem]:
+        blocks_a = [_blocks(f"a_{i}", block_max) for i in range(1, k + 1)]
+        chosen = [(f"b_{choice}",) for choice in range(1, k + 1)]
+        cs = _blocks("c", tail_max)
         for blocks in itertools.product(range(block_max + 1), repeat=k):
+            head = _joined(blocks_a, blocks)
             for choice in range(1, k + 1):
+                head_b = head + chosen[choice - 1]
                 for tail in range(tail_max + 1):
-                    sw = SelectorWord(blocks, choice, tail)
-                    yield GenItem(render_selector(k, sw), sw)
+                    yield GenItem(head_b + cs[tail], SelectorWord(blocks, choice, tail))
 
     return WordBox((block_max + 1) ** k * k * (tail_max + 1), items)
 
@@ -563,10 +581,16 @@ def paired_box(k: int, cap: int) -> WordBox:
     _nonnegative(k=k, cap=cap)
 
     def items() -> Iterator[GenItem]:
-        for supplies in itertools.product(range(cap + 1), repeat=k):
-            for demands in itertools.product(range(cap + 1), repeat=k):
-                pw = PairedBlockWord(supplies, demands)
-                yield GenItem(render_paired(k, pw), pw)
+        counts = list(itertools.product(range(cap + 1), repeat=k))
+
+        def half(letter: str) -> list[Word]:  # the rendered half for each count tuple
+            blocks = [_blocks(f"{letter}_{i}", cap) for i in range(1, k + 1)]
+            return [_joined(blocks, c) for c in counts]
+
+        supply_half, demand_half = half("a"), half("b")
+        for supplies, supply in zip(counts, supply_half):
+            for demands, demand in zip(counts, demand_half):
+                yield GenItem(supply + demand, PairedBlockWord(supplies, demands))
 
     return WordBox((cap + 1) ** (2 * k), items)
 
@@ -599,13 +623,16 @@ class ComparisonReport:
     checked: int
 
 
-def _side_decider(side: Side, acceptor: Callable) -> Callable[[GenItem], bool]:
-    """One side's verdict on a generator item, each of its nets deciding
-    through acceptor(net)."""
+def _side_decider(side: Side, acceptor: Callable) -> Callable[[Word, object], bool]:
+    """One side's verdict on a generator item's (word, params), each of its
+    nets deciding through acceptor(net)."""
     if callable(side):
-        return lambda item: bool(side(item.word if item.params is None else item.params))
-    deciders = [acceptor(net) for net in ((side,) if isinstance(side, CounterNet) else side)]
-    return lambda item: all(d(item.word) for d in deciders)
+        return lambda word, params: bool(side(word if params is None else params))
+    if isinstance(side, CounterNet):
+        decide = acceptor(side)
+        return lambda word, params: decide(word)
+    deciders = [acceptor(net) for net in side]
+    return lambda word, params: all(d(word) for d in deciders)
 
 
 def bounded_compare(
@@ -636,17 +663,17 @@ def bounded_compare(
         raise SweepLimitError(f"generator holds {sized()} words, cap is {hard_cap}")
     decide_left, decide_right = (_side_decider(s, lambda net: FrontierGraph(net).accepts) for s in (left, right))
     checked = 0
-    for item in generator:
+    for word, params in generator:
         checked += 1
-        l = decide_left(item)
-        r = decide_right(item)
+        l = decide_left(word, params)
+        r = decide_right(word, params)
         if l != r:
             # plain accepts is an independent path: a wrong graph verdict must not become a report
-            again = [_side_decider(s, lambda net: partial(accepts, net))(item) for s in (left, right)]
+            again = [_side_decider(s, lambda net: partial(accepts, net))(word, params) for s in (left, right)]
             if again != [l, r]:
                 raise RuntimeError("membership verdict changed on re-verification")
             verdict = "left-only" if l else "right-only"
-            return ComparisonReport(verdict, item.word, item.params, checked)
+            return ComparisonReport(verdict, word, params, checked)
     return ComparisonReport("equal", None, None, checked)
 
 

@@ -11,9 +11,9 @@ Word generators are spelled `--box family:args` for a family of
 Exit codes: 0 for positive verdicts (accept, equal, no violations),
 1 for negative ones (reject, counterexample, exhausted), 2 for usage or
 input errors, 3 for internal failures (a cap, recursion or memory limit,
-or broken invariant).  --exit-zero forces 0 on negative verdicts, never
-on 3; --json emits a report with stable keys {command, verdict,
-counterexample, stats}.
+broken invariant, or any other exception).  --exit-zero forces 0 on
+negative verdicts, never on 3; --json emits a report with stable keys
+{command, verdict, counterexample, stats}.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 # analysis and vas are imported by the handlers that use them, so the
 # other commands start without them
 from . import constructions, fileformat, zoo
-from .core import (CounterNet, EnumerationCapError, SweepLimitError, Vector, Word, accepts,
-                   enumerate_accepting_runs)
+from .core import CounterNet, SweepLimitError, Vector, Word, accepts, enumerate_accepting_runs
 from .fileformat import render_word_text
 
 if TYPE_CHECKING:
@@ -523,8 +522,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, SweepLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RecursionError, EnumerationCapError, MemoryError, RuntimeError) as exc:
-        # not a verdict: a cap, a resource limit or a broken invariant
+    except Exception as exc:
+        # not a verdict (a cap, a resource limit, a broken invariant or any
+        # other fault), so never the negative-verdict exit 1 of a traceback
         detail = " ".join(str(exc).split())
         print(f"error: internal failure: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 3

@@ -13,6 +13,7 @@ over bounded parameter boxes.  The word shapes:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -221,22 +222,13 @@ def partition_k_oracle_bruteforce(k: int, w: PartitionKWord) -> bool:
     t = len(w.segments)
     if k == 0:
         return True  # no demands to satisfy
-    for assignment in _assignments(t, k):
+    for assignment in itertools.product(range(k), repeat=t):
         sums = [0] * k
         for seg, owner in zip(w.segments, assignment):
             sums[owner] += seg
         if all(s >= d for s, d in zip(sums, w.demands)):
             return True
     return False
-
-
-def _assignments(t: int, k: int):
-    if t == 0:
-        yield ()
-        return
-    for rest in _assignments(t - 1, k):
-        for owner in range(k):
-            yield rest + (owner,)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,9 @@ from counternet.core import (
 from counternet.constructions import project, trim, union
 from counternet.zoo import (
     SEGMENT_ALPHABET,
+    PairedBlockWord,
     SegmentedWord,
+    SelectorWord,
     build_coarse_factors,
     build_paired_dcn,
     build_partition_net,
@@ -58,7 +60,10 @@ from counternet.zoo import (
     build_selector_ncn,
     build_shared_budget,
     partition_oracle,
+    render_paired,
     render_segmented,
+    render_selector,
+    selector_oracle,
 )
 from randnets import LETTERS, random_cn, random_unary_1cn
 
@@ -658,6 +663,87 @@ def test_every_box_family_sizes_and_repeats(family, args):
     assert len(passes[0]) == len(set(passes[0])) == box.size()
 
 
+# The boxes as they rendered every word through zoo.render_*, kept as
+# references for the boxes that join their words from cached blocks.
+
+def reference_segmented(t_max, seg_max, b_max=None, c_max=None):
+    b_max = seg_max if b_max is None else b_max
+    c_max = seg_max if c_max is None else c_max
+    tuples = [[(segs, t + sum(segs)) for segs in cartesian(range(seg_max + 1), repeat=t)]
+              for t in range(t_max + 1)]
+    for length in range(t_max * (seg_max + 1) + b_max + c_max + 1):
+        for segs_t in tuples:
+            for segs, base in segs_t:
+                rest = length - base
+                for m_b in range(max(0, rest - c_max), min(b_max, rest) + 1):
+                    sw = SegmentedWord(segs, m_b, rest - m_b)
+                    yield render_segmented(sw), sw
+
+
+def reference_triple(cap):
+    for total in range(3 * cap + 1):
+        for m in range(min(cap, total) + 1):
+            for n in range(min(cap, total - m) + 1):
+                k = total - m - n
+                if k <= cap:
+                    yield ("a",) * m + ("#",) + ("b",) * n + ("#",) + ("c",) * k, (m, n, k)
+
+
+def reference_selector(k, block_max, tail_max=None):
+    tail_max = block_max if tail_max is None else tail_max
+    for blocks in cartesian(range(block_max + 1), repeat=k):
+        for choice in range(1, k + 1):
+            for tail in range(tail_max + 1):
+                sw = SelectorWord(blocks, choice, tail)
+                yield render_selector(k, sw), sw
+
+
+def reference_paired(k, cap):
+    for supplies in cartesian(range(cap + 1), repeat=k):
+        for demands in cartesian(range(cap + 1), repeat=k):
+            pw = PairedBlockWord(supplies, demands)
+            yield render_paired(k, pw), pw
+
+
+def reference_words(alphabet, max_len):
+    for length in range(max_len + 1):
+        for combo in cartesian(sorted(set(alphabet)), repeat=length):
+            yield combo, None
+
+
+REFERENCE_BOXES = {
+    "words": reference_words, "segmented": reference_segmented, "triple": reference_triple,
+    "selector": reference_selector, "paired": reference_paired,
+}
+
+BOX_CASES = [
+    ("words", ("ab", 0)), ("words", ("ba#", 3)),
+    ("segmented", (0, 0)), ("segmented", (2, 0)), ("segmented", (0, 2)), ("segmented", (3, 2)),
+    ("segmented", (2, 2, 0, 3)), ("segmented", (2, 1, 3, 0)), ("segmented", (1, 3, 1, 2)),
+    ("triple", (0,)), ("triple", (3,)),
+    ("selector", (1, 0)), ("selector", (3, 2)), ("selector", (2, 3, 0)), ("selector", (3, 1, 4)),
+    ("selector", (2, 0, 2)),
+    ("paired", (0, 3)), ("paired", (2, 0)), ("paired", (3, 2)), ("paired", (1, 4)),
+]
+
+
+@pytest.mark.parametrize("family, args", BOX_CASES)
+def test_boxes_match_their_rendering_references(family, args):
+    build, _ = BOXES[family]
+    got = list(build(*args))
+    expected = list(REFERENCE_BOXES[family](*args))
+    assert [(it.word, it.params) for it in got] == expected
+    assert [type(it.params) for it in got] == [type(p) for _, p in expected]
+    assert all(type(it.word) is tuple for it in got)
+    for it in got:
+        assert tuple(it) == (it.word, it.params)
+    render = {"segmented": render_segmented,
+              "selector": lambda sw: render_selector(args[0], sw),
+              "paired": lambda pw: render_paired(args[0], pw)}.get(family)
+    if render is not None:
+        assert all(it.word == render(it.params) for it in got)
+
+
 # --- bounded comparison -----------------------------------------------------------
 
 def test_compare_net_to_itself():
@@ -944,6 +1030,39 @@ def test_sweep_refuses_a_wrong_acceptor_verdict(monkeypatch):
         bounded_compare(p, partition_oracle, segmented_box(3, 2))
     with pytest.raises(RuntimeError, match=changed):
         check_decomposition(partition_oracle, [p], segmented_box(3, 2))
+
+
+def test_box_sweep_answers_are_pinned():
+    # verdict, counterexample, repr(params) and checked of one sweep per box
+    # family with a net side, recorded before the boxes joined cached blocks
+    p, h3, l3 = build_partition_net(), build_paired_dcn(3), build_selector_dcn(3)
+    cb, cc = build_coarse_factors()
+    reports = [
+        check_decomposition(p, [cb, cc], segmented_box(3, 4)),
+        check_decomposition(h3, [project(h3, 1), project(h3, 2)], paired_box(3, 2)),
+        bounded_compare(l3, lambda w: not selector_oracle(3, w), selector_box(3, 2)),
+        bounded_compare(p, (), triple_box(2)),
+    ]
+    assert [(r.verdict, r.counterexample, repr(r.params), r.checked) for r in reports] == [
+        ("right-only", ("a", "#", "b", "c"), "SegmentedWord(segments=(1,), m_b=1, m_c=1)", 37),
+        ("right-only", ("b_3",), "PairedBlockWord(supplies=(0, 0, 0), demands=(0, 0, 1))", 2),
+        ("left-only", ("b_1",), "SelectorWord(blocks=(0, 0, 0), choice=1, tail=0)", 1),
+        ("right-only", ("#", "#", "c"), "(0, 0, 1)", 2),
+    ]
+
+
+def test_refuter_enumerate_answers_are_pinned_per_box():
+    cb, cc = build_coarse_factors()
+    found = ("counterexample", ("a", "#", "b", "c"),
+             "SegmentedWord(segments=(1,), m_b=1, m_c=1)", "intersection-only")
+    expected = [(("exhausted", None, "None", None), 4)] + [
+        (found, checked) for checked in (18, 29, 35, 37, 37)]
+    got = []
+    for box in range(6):
+        res = refute_partition_decomposition([cb, cc], box=box)
+        got.append(((res.verdict, res.word, repr(res.params), res.side), res.stats["checked"]))
+        assert res.stats == {"checked": res.stats["checked"]}
+    assert got == expected
 
 
 def test_decomposition_hard_cap():

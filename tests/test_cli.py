@@ -589,7 +589,8 @@ def test_help_exits_zero(capsys):
 
 
 @pytest.mark.parametrize("exc_class", [RecursionError, EnumerationCapError, MemoryError,
-                                       RuntimeError])
+                                       RuntimeError, KeyError, IndexError, TypeError,
+                                       AssertionError])
 @pytest.mark.parametrize("flags", [(), ("--exit-zero",)])
 def test_internal_failures_exit_three(monkeypatch, capsys, exc_class, flags):
     def broken(args):
@@ -599,7 +600,9 @@ def test_internal_failures_exit_three(monkeypatch, capsys, exc_class, flags):
     assert rc == 3
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith(f"error: internal failure: {exc_class.__name__}: first line")
+    # str() of a KeyError is the repr of its argument, so its detail is quoted
+    detail = "" if exc_class is KeyError else " first line"
+    assert err.startswith(f"error: internal failure: {exc_class.__name__}:{detail}")
     assert "Traceback" not in err
 
 
