@@ -7,6 +7,8 @@ takes --k or an inline number, which wins (zoo:L3.dcn, zoo:H2,
 zoo:P2kConj); zoo:fig1.product is the product of fig1.b1 and fig1.b2.
 Word generators are spelled `--box family:args` for a family of
 `analysis.BOXES`, or via the shorthands --max-len and --segmented-box.
+Each command is declared once, in the table `_COMMANDS` (name -> help,
+arguments, handler), from which `_parser` builds every subparser.
 
 Exit codes: 0 for positive verdicts (accept, equal, no violations),
 1 for negative ones (reject, counterexample, exhausted), 2 for usage or
@@ -170,6 +172,12 @@ def _emit_built(net: CounterNet, out: Optional[str]) -> tuple[str, Optional[Word
     return "ok", None, {"states": len(net.states), "dimension": net.dimension}, _emit_nets([net], out)
 
 
+def _built(construction: str):
+    """Handler of a command that emits constructions.<construction> of two
+    machines, looked up when the command runs."""
+    return lambda args: _emit_built(getattr(constructions, construction)(*_pair(args)), args.out)
+
+
 # ---------------------------------------------------------------------------
 # command handlers: each returns (verdict, counterexample word | None, stats, text)
 
@@ -203,16 +211,8 @@ def _cmd_eq(args) -> tuple[str, Optional[Word], dict, str]:
     return verdict, report.counterexample, stats, _comparison_text(report)
 
 
-def _cmd_product(args) -> tuple[str, Optional[Word], dict, str]:
-    return _emit_built(constructions.product(*_pair(args)), args.out)
-
-
 def _cmd_project(args) -> tuple[str, Optional[Word], dict, str]:
     return _emit_built(constructions.project(_resolve(args.machine, args.k), args.counter), args.out)
-
-
-def _cmd_union(args) -> tuple[str, Optional[Word], dict, str]:
-    return _emit_built(constructions.union(*_pair(args)), args.out)
 
 
 def _cmd_lift(args) -> tuple[str, Optional[Word], dict, str]:
@@ -260,10 +260,6 @@ def _cmd_vasify(args) -> tuple[str, Optional[Word], dict, str]:
         lines.append(f"extra flat-language members (expected): {report.extra_count}, "
                      f"e.g. {[render_word_text(w) or '(empty)' for w in report.extra_members[:3]]}")
     return verdict, None, stats, "\n".join(lines)
-
-
-def _cmd_reduce(args) -> tuple[str, Optional[Word], dict, str]:
-    return _emit_built(constructions.build_reduction(*_pair(args)), args.out)
 
 
 def _cmd_zoo(args) -> tuple[str, Optional[Word], dict, str]:
@@ -378,20 +374,78 @@ _NEGATIVE = {"reject", "left-only", "right-only", "counterexample", "exhausted",
              "violations", "no-cycle"}
 
 
-def _add_k(p: argparse.ArgumentParser) -> None:
-    # also accepted after the subcommand; SUPPRESS keeps a value given
-    # before it from being clobbered by a default
-    p.add_argument("--k", type=int, default=argparse.SUPPRESS, help=_K_HELP)
+# ---------------------------------------------------------------------------
+# the command table: name -> (help, arguments, handler), in help order; an
+# argument is the (flags, options) pair of add_argument
+
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    return flags, options
 
 
-def _add_box_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-len", type=int, default=None,
-                   help="compare on every word up to this length")
-    p.add_argument("--segmented-box", type=int, default=None, metavar="N",
-                   help="segmented words, up to 3 segments, parameters <= N")
-    p.add_argument("--box", default=None, metavar="FAM:ARGS",
-                   help="words:L | segmented:T,CAP[,B,C] | triple:CAP | "
-                        "selector:K,CAP[,TAIL] | paired:K,CAP")
+_MACHINE = (_arg("machine"),)
+_PAIR = (_arg("left"), _arg("right"))
+_OUT = (_arg("-o", "--out", default=None),)
+_WORD = (_arg("--word", required=True),)
+_BOX_FLAGS = (
+    _arg("--max-len", type=int, default=None, help="compare on every word up to this length"),
+    _arg("--segmented-box", type=int, default=None, metavar="N",
+         help="segmented words, up to 3 segments, parameters <= N"),
+    _arg("--box", default=None, metavar="FAM:ARGS",
+         help="words:L | segmented:T,CAP[,B,C] | triple:CAP | "
+              "selector:K,CAP[,TAIL] | paired:K,CAP"),
+)
+
+_COMMANDS = {
+    "check": ("decide membership of one word",
+              (*_MACHINE, *_WORD,
+               _arg("--initial", default=None, help="comma-separated start counters")),
+              _cmd_check),
+    "eq": ("compare two machines over a word generator", (*_PAIR, *_BOX_FLAGS), _cmd_eq),
+    "product": ("product of two machines", (*_PAIR, *_OUT), _built("product")),
+    "union": ("union of two machines", (*_PAIR, *_OUT), _built("union")),
+    "project": ("keep a single counter",
+                (*_MACHINE, _arg("--counter", type=int, required=True, help="1-based coordinate"),
+                 *_OUT),
+                _cmd_project),
+    "lift": ("widen to more counters",
+             (*_MACHINE, _arg("--dim", type=int, required=True),
+              _arg("--placement", default=None,
+                   help="comma-separated target coordinates for the original ones"),
+              *_OUT),
+             _cmd_lift),
+    "vasify": ("flatten a deterministic machine to one state",
+               (*_MACHINE, *_OUT,
+                _arg("--report", action="store_true", help="run the full pipeline verification"),
+                _arg("--max-len", type=int, default=6,
+                     help="word length bound for the pipeline report (default 6)")),
+               _cmd_vasify),
+    "reduce": ("containment-to-emptiness gadget for two 1-CNs", (*_PAIR, *_OUT),
+               _built("build_reduction")),
+    "zoo": ("built-in machine families",
+            (_arg("family", help=" | ".join(zoo.FAMILIES)),
+             _arg("--emit", action="store_true", help="print machine file"), *_OUT),
+            _cmd_zoo),
+    "decompose-check": ("target vs intersection of factors over a generator",
+                        (_arg("target"), _arg("factors", nargs="*"), *_BOX_FLAGS),
+                        _cmd_decompose_check),
+    "refute-p": ("search a word separating the factor intersection from the partition language",
+                 (_arg("factors", nargs="+"),
+                  _arg("--strategy", choices=("enumerate", "guided"), default="enumerate"),
+                  _arg("--param-box", type=int, default=6,
+                       help="parameter cap for the enumerate strategy"),
+                  # spelled like the SearchCaps fields (see _caps_from)
+                  *(_arg("--" + cap, type=int, default=None)
+                    for cap in ("max-multiple", "run-cap", "coefficient-cap", "horizon", "n-cap"))),
+                 _cmd_refute_p),
+    "pump": ("extract and pump a cycle of an accepting run",
+             (*_MACHINE, *_WORD,
+              _arg("--segment", default=None, help="1-based segment index, or 'b' / 'c'"),
+              _arg("--sign", choices=("pos", "nonneg"), default="nonneg"),
+              _arg("--times", type=int, default=1),
+              _arg("--factorial", action="store_true",
+                   help="scale copies so one unit adds a |Q|!-length block")),
+             _cmd_pump),
+}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -405,104 +459,14 @@ def _parser() -> argparse.ArgumentParser:
                      help="exit 0 even on negative verdicts")
     top.add_argument("--k", type=int, default=None, help=_K_HELP)
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="decide membership of one word")
-    p.add_argument("machine")
-    p.add_argument("--word", required=True)
-    p.add_argument("--initial", default=None, help="comma-separated start counters")
-    _add_k(p)
-    p.set_defaults(handler=_cmd_check)
-
-    p = sub.add_parser("eq", help="compare two machines over a word generator")
-    p.add_argument("left")
-    p.add_argument("right")
-    _add_box_flags(p)
-    _add_k(p)
-    p.set_defaults(handler=_cmd_eq)
-
-    for name, handler in (("product", _cmd_product), ("union", _cmd_union)):
-        p = sub.add_parser(name, help=f"{name} of two machines")
-        p.add_argument("left")
-        p.add_argument("right")
-        p.add_argument("-o", "--out", default=None)
-        _add_k(p)
+    for name, (help_text, arguments, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        # also accepted after the subcommand; SUPPRESS keeps a value given
+        # before it from being clobbered by a default
+        p.add_argument("--k", type=int, default=argparse.SUPPRESS, help=_K_HELP)
         p.set_defaults(handler=handler)
-
-    p = sub.add_parser("project", help="keep a single counter")
-    p.add_argument("machine")
-    p.add_argument("--counter", type=int, required=True, help="1-based coordinate")
-    p.add_argument("-o", "--out", default=None)
-    _add_k(p)
-    p.set_defaults(handler=_cmd_project)
-
-    p = sub.add_parser("lift", help="widen to more counters")
-    p.add_argument("machine")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--placement", default=None,
-                   help="comma-separated target coordinates for the original ones")
-    p.add_argument("-o", "--out", default=None)
-    _add_k(p)
-    p.set_defaults(handler=_cmd_lift)
-
-    p = sub.add_parser("vasify", help="flatten a deterministic machine to one state")
-    p.add_argument("machine")
-    p.add_argument("-o", "--out", default=None)
-    p.add_argument("--report", action="store_true",
-                   help="run the full pipeline verification")
-    p.add_argument("--max-len", type=int, default=6,
-                   help="word length bound for the pipeline report (default 6)")
-    _add_k(p)
-    p.set_defaults(handler=_cmd_vasify)
-
-    p = sub.add_parser("reduce", help="containment-to-emptiness gadget for two 1-CNs")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("-o", "--out", default=None)
-    _add_k(p)
-    p.set_defaults(handler=_cmd_reduce)
-
-    p = sub.add_parser("zoo", help="built-in machine families")
-    p.add_argument("family", help=" | ".join(zoo.FAMILIES))
-    p.add_argument("--emit", action="store_true", help="print machine file")
-    p.add_argument("-o", "--out", default=None)
-    _add_k(p)
-    p.set_defaults(handler=_cmd_zoo)
-
-    p = sub.add_parser("decompose-check",
-                       help="target vs intersection of factors over a generator")
-    p.add_argument("target")
-    p.add_argument("factors", nargs="*")
-    _add_box_flags(p)
-    _add_k(p)
-    p.set_defaults(handler=_cmd_decompose_check)
-
-    p = sub.add_parser("refute-p",
-                       help="search a word separating the factor intersection "
-                            "from the partition language")
-    p.add_argument("factors", nargs="+")
-    p.add_argument("--strategy", choices=("enumerate", "guided"), default="enumerate")
-    p.add_argument("--param-box", type=int, default=6,
-                   help="parameter cap for the enumerate strategy")
-    p.add_argument("--max-multiple", type=int, default=None)
-    p.add_argument("--run-cap", type=int, default=None)
-    p.add_argument("--coefficient-cap", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--n-cap", type=int, default=None)
-    _add_k(p)
-    p.set_defaults(handler=_cmd_refute_p)
-
-    p = sub.add_parser("pump", help="extract and pump a cycle of an accepting run")
-    p.add_argument("machine")
-    p.add_argument("--word", required=True)
-    p.add_argument("--segment", default=None,
-                   help="1-based segment index, or 'b' / 'c'")
-    p.add_argument("--sign", choices=("pos", "nonneg"), default="nonneg")
-    p.add_argument("--times", type=int, default=1)
-    p.add_argument("--factorial", action="store_true",
-                   help="scale copies so one unit adds a |Q|!-length block")
-    _add_k(p)
-    p.set_defaults(handler=_cmd_pump)
-
     return top
 
 
@@ -516,10 +480,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.perf_counter()
     try:
         verdict, counterexample, stats, text = args.handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, SweepLimitError) as exc:
+    except (CliError, ValueError, SweepLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
