@@ -12,10 +12,12 @@ A file holds one or more nets:
     end
 
 ';' starts a comment ('#' is a working alphabet letter, so it cannot).
-Tokens are whitespace-separated.  There is no state declaration line;
-states are collected from init lines, then transition sources and targets
-in order of appearance, then accept lines, which makes emit(parse(emit))
-= emit.
+Tokens are whitespace-separated.  An optional `states q0 q1 q2` line
+declares the states in order; without one, states are collected from init
+lines, then transition sources and targets in order of appearance, then
+accept lines.  Emitting writes the states line only when that collected
+order differs from the net's, so parse(emit(net)) == net (a state no line
+names survives too) and emit(parse(emit)) = emit.
 
 Words are whitespace-separated letters, where tok^N abbreviates N copies:
 "a^3 # b b" means a a a # b b.  A letter holds neither whitespace nor
@@ -59,7 +61,7 @@ def parse_machine_file(text: str) -> list[CounterNet]:
                 raise MachineFileError(line_no, "previous machine missing 'end'")
             if len(args) != 1:
                 raise MachineFileError(line_no, "cn takes exactly one name")
-            cur = {"name": args[0], "dim": None, "alphabet": [], "init": [],
+            cur = {"name": args[0], "dim": None, "alphabet": [], "states": [], "init": [],
                    "accept": [], "trans": [], "line": line_no}
             continue
         if cur is None:
@@ -75,6 +77,8 @@ def parse_machine_file(text: str) -> list[CounterNet]:
                 raise MachineFileError(line_no, "dim takes one non-negative integer")
         elif key == "alphabet":
             cur["alphabet"].extend(args)
+        elif key == "states":
+            cur["states"].extend(args)
         elif key == "init":
             cur["init"].extend(args)
         elif key == "accept":
@@ -106,22 +110,16 @@ def parse_machine_file(text: str) -> list[CounterNet]:
     return nets
 
 
+def _collected_order(init, transitions, accept) -> tuple[str, ...]:
+    """The state order of a block without a states line: init states, then
+    transition sources and targets, then accept states, each where it first
+    appears."""
+    return tuple(dict.fromkeys([*init, *(s for t in transitions for s in (t.source, t.target)),
+                                *accept]))
+
+
 def _assemble(cur: dict, line_no: int) -> CounterNet:
-    states: list[str] = []
-    seen: set[str] = set()
-
-    def add(s: str) -> None:
-        if s not in seen:
-            seen.add(s)
-            states.append(s)
-
-    for s in cur["init"]:
-        add(s)
-    for t in cur["trans"]:
-        add(t.source)
-        add(t.target)
-    for s in cur["accept"]:
-        add(s)
+    states = cur["states"] or _collected_order(cur["init"], cur["trans"], cur["accept"])
     try:
         return validate(CounterNet(
             name=cur["name"],
@@ -137,8 +135,9 @@ def _assemble(cur: dict, line_no: int) -> CounterNet:
 
 
 def emit_machine_file(nets: list[CounterNet]) -> str:
-    """Canonical form: sorted alphabet, init and accept in state order,
-    transitions in declaration order, one per line."""
+    """Canonical form: sorted alphabet, a states line only when the order
+    parsing would collect differs from net.states, init and accept in state
+    order, transitions in declaration order, one per line."""
     lines: list[str] = []
     for net in nets:
         tokens = [net.name, *net.states, *net.alphabet]
@@ -149,8 +148,11 @@ def emit_machine_file(nets: list[CounterNet]) -> str:
         lines.append(f"dim {net.dimension}")
         if net.alphabet:
             lines.append("alphabet " + " ".join(sorted(net.alphabet)))
-        lines.append("init " + " ".join(s for s in net.states if s in net.initial))
+        init = [s for s in net.states if s in net.initial]
         acc = [s for s in net.states if s in net.accepting]
+        if _collected_order(init, net.transitions, acc) != net.states:
+            lines.append("states " + " ".join(net.states))
+        lines.append("init " + " ".join(init))
         if acc:
             lines.append("accept " + " ".join(acc))
         for t in net.transitions:

@@ -257,6 +257,17 @@ def test_lift_and_placement(tmp_path, capsys):
     assert rc == 2
 
 
+def test_identity_lift_of_a_union_rewrites_the_same_file(tmp_path, capsys):
+    # the union's state order is not the one parsing collects, so its file
+    # spells it out in a states line and the order survives the re-read
+    u, v = tmp_path / "u.cn", tmp_path / "v.cn"
+    assert main(["union", "zoo:coarse.b", "zoo:coarse.c", "-o", str(u)]) == 0
+    assert main(["lift", str(u), "--dim", "1", "-o", str(v)]) == 0
+    capsys.readouterr()
+    assert "\nstates A.seg A.bs A.cs B.seg B.bs B.cs\n" in u.read_text()
+    assert v.read_text() == u.read_text()
+
+
 def test_lift_past_the_effect_budget_is_a_usage_error(tmp_path, capsys):
     # zoo:P has 12 transitions; one more dimension than the budget allows,
     # so a broken check would build about a megabyte, not exhaust memory

@@ -1,10 +1,13 @@
+import random
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from counternet.analysis import compare_nets_walk
-from counternet.core import CounterNet, Transition
-from counternet import fileformat
+from counternet.core import CounterNet, Transition, is_deterministic
+from counternet import constructions, fileformat, vas, zoo
 from counternet.fileformat import (
     MachineFileError,
     emit_machine_file,
@@ -12,7 +15,8 @@ from counternet.fileformat import (
     parse_word,
     render_word_text,
 )
-from counternet.zoo import build_partition_net, build_shared_budget
+from counternet.zoo import build_coarse_factors, build_partition_net, build_shared_budget
+from randnets import random_cn, random_dcn
 
 SAMPLE = """
 ; a two-counter machine with states declared out of order
@@ -58,6 +62,89 @@ def test_zoo_nets_round_trip():
     for orig, parsed in zip(nets, back):
         rep = compare_nets_walk(orig, parsed, max_len=5)
         assert rep.verdict == "equal", orig.name
+
+
+def _round_trip(net):
+    """parse(emit(net)) == net, and the emitted text re-emits byte for byte."""
+    text = emit_machine_file([net])
+    assert parse_machine_file(text) == [net], text
+    assert emit_machine_file(parse_machine_file(text)) == text
+
+
+def test_states_line_keeps_an_isolated_state():
+    net = parse_machine_file(SAMPLE)[0]
+    # dead has no transition and is neither initial nor accepting
+    dead = replace(net, states=("q0", "dead", "q1", "q2"))
+    text = emit_machine_file([dead])
+    assert "\nstates q0 dead q1 q2\ninit q0\n" in text
+    _round_trip(dead)
+    _round_trip(replace(net, states=("q2", "q1", "q0")))
+    # the order parsing collects needs no states line
+    assert "states" not in emit_machine_file([net])
+
+
+def test_states_line_errors():
+    err = line_error("cn m\ndim 0\nstates q q\ninit q\nend\n")
+    assert err.line_no == 5 and "duplicate state ids" in str(err)
+    # a states line lists every state
+    err = line_error("cn m\ndim 0\nalphabet a\nstates q\ninit q\ntrans q a p\nend\n")
+    assert err.line_no == 7 and "target 'p' not declared" in str(err)
+
+
+def _with_isolated(rng, net):
+    states = list(net.states)
+    for i in range(rng.randint(1, 2)):
+        states.insert(rng.randint(0, len(states)), f"iso{i}")
+    return replace(net, states=tuple(states))
+
+
+def test_random_nets_round_trip():
+    rng = random.Random(2417)
+    for dim in range(4):
+        for _ in range(40):
+            net = random_cn(rng, dim)
+            _round_trip(net)
+            _round_trip(_with_isolated(rng, net))
+            _round_trip(random_dcn(rng, dim))
+
+
+def _zoo_nets():
+    for k in (1, 2, 3):
+        for family in zoo.FAMILIES.values():
+            yield from family(k).values()
+
+
+def _constructions(a, b):
+    """Every construction of a and b that their shapes allow."""
+    yield constructions.trim(a)
+    yield constructions.lift(a, a.dimension + 1)
+    yield constructions.lift(a, a.dimension + 2, tuple(range(3, a.dimension + 3)))
+    if a.dimension:
+        yield constructions.project(a, a.dimension)
+    if a.dimension == b.dimension and a.alphabet == b.alphabet:
+        yield constructions.product(a, b)
+        yield constructions.union(a, b)
+        if a.dimension == 1 and not a.alphabet & {"a", "b", "c", "#", "$"}:
+            yield constructions.build_reduction(a, b)
+    if is_deterministic(a):
+        labels = vas.distinct_label(a)
+        yield labels.net
+        yield vas.vasify(labels.net).net
+
+
+def test_construction_outputs_round_trip():
+    rng = random.Random(2418)
+    pairs = [(a, a) for a in _zoo_nets()]
+    pairs += [(build_coarse_factors()[0], build_coarse_factors()[1])]
+    for dim in range(4):
+        for _ in range(10):
+            a = random_cn(rng, dim)
+            pairs.append((a, _with_isolated(rng, random_cn(rng, dim))))
+            pairs.append((random_dcn(rng, dim), a))
+    for a, b in pairs:
+        _round_trip(a)
+        for net in _constructions(a, b):
+            _round_trip(net)
 
 
 def test_empty_file_parses_to_nothing():
@@ -124,8 +211,10 @@ def test_error_keyword_outside_block():
 
 
 def test_error_unknown_keyword():
-    err = line_error("cn m\ndim 1\nstates q p\nend\n")
+    # `states` is a keyword; its singular is not
+    err = line_error("cn m\ndim 1\nstate q p\nend\n")
     assert err.line_no == 3
+    assert "unknown keyword 'state'" in str(err)
 
 
 def test_error_non_integer_effect():
