@@ -174,7 +174,8 @@ def _emit_built(net: CounterNet, out: Optional[str]) -> tuple[str, Optional[Word
 
 def _built(construction: str):
     """Handler of a command that emits constructions.<construction> of two
-    machines, looked up when the command runs."""
+    machines, looked up when the command runs (as every handler calls the
+    library), so a wrapped or replaced construction is seen."""
     return lambda args: _emit_built(getattr(constructions, construction)(*_pair(args)), args.out)
 
 
