@@ -10,6 +10,7 @@ both machines."""
 import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -90,18 +91,17 @@ def test_random_nets_keep_the_contract(tmp_path, capsys):
     for _ in range(40):
         a, b = _random_case(rng)
         for path, net in ((left, a), (right, b)):
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(emit_machine_file([net]))
+            Path(path).write_text(emit_machine_file([net]), encoding="utf-8")
         dim = a.dimension
         word = _word(rng, a.alphabet)
         initial = ",".join(str(rng.randint(-1, 2)) for _ in range(dim + rng.choice((0, 0, 1))))
         length = rng.randint(0, 4)
 
-        rc, text, report = _check(capsys, ["check", left, f"--word={word}", f"--initial={initial}"]
-                                  if initial and rng.random() < 0.5 else ["check", left, f"--word={word}"])
+        check = ["check", left, f"--word={word}"]
+        report = _check(capsys, check + [f"--initial={initial}"] * (rng.random() < 0.5))[2]
         verdicts.add(report and report["verdict"])
 
-        rc, text, report = _check(capsys, ["eq", left, right, "--max-len", str(length)])
+        report = _check(capsys, ["eq", left, right, "--max-len", str(length)])[2]
         verdicts.add(report["verdict"])
         if report["verdict"] in ("left-only", "right-only"):
             cex = f"--word={report['counterexample']}"
@@ -109,7 +109,7 @@ def test_random_nets_keep_the_contract(tmp_path, capsys):
             assert _check(capsys, ["check", left, cex])[0] == (0 if in_left else 1)
             assert _check(capsys, ["check", right, cex])[0] == (1 if in_left else 0)
 
-        rc, _, report = _check(capsys, ["decompose-check", left, right, "--max-len", str(length)])
+        report = _check(capsys, ["decompose-check", left, right, "--max-len", str(length)])[2]
         verdicts.add(report["verdict"])
 
         coordinate, target = rng.randint(0, dim + 1), rng.randint(0, dim + 2)
@@ -124,18 +124,17 @@ def test_random_nets_keep_the_contract(tmp_path, capsys):
         ]
         for argv, build in builds:
             to_file = rng.random() < 0.5
-            rc, text, report = _check(capsys, [*argv, "-o", out] if to_file else argv)
+            rc, text, _ = _check(capsys, [*argv, "-o", out] if to_file else argv)
             if rc == 0:
                 # print ends the emitted file with one more newline
-                emitted = open(out, encoding="utf-8").read() if to_file else text[:-1]
+                emitted = Path(out).read_text(encoding="utf-8") if to_file else text[:-1]
                 _emitted(emitted, [build()])
             else:
                 with pytest.raises(ValueError):
                     build()
 
-        rc, _, report = _check(capsys, ["pump", left, f"--word={word}", "--times",
-                                        str(rng.randint(0, 2)), "--sign",
-                                        rng.choice(("pos", "nonneg"))])
+        report = _check(capsys, ["pump", left, f"--word={word}", "--times", str(rng.randint(0, 2)),
+                                 "--sign", rng.choice(("pos", "nonneg"))])[2]
         verdicts.add(report and report["verdict"])
         _check(capsys, ["refute-p", left, right, "--param-box", "2"])
     # the cases reach verdicts of both signs and usage errors
@@ -145,7 +144,7 @@ def test_random_nets_keep_the_contract(tmp_path, capsys):
 def test_zoo_emits_keep_the_contract(capsys):
     for family in zoo.FAMILIES:
         for k in (1, 2, 3):
-            rc, text, report = _check(capsys, ["zoo", family, "--k", str(k), "--emit"])
+            rc, text, _ = _check(capsys, ["zoo", family, "--k", str(k), "--emit"])
             assert rc == 0
             _emitted(text[:-1], list(zoo.FAMILIES[family](k).values()))
 
@@ -185,14 +184,13 @@ def test_mutated_machine_files_keep_the_contract(tmp_path, capsys):
         text = emit_machine_file([net])
         for _ in range(rng.randint(1, 3)):
             text = _mutate(rng, text)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        Path(path).write_text(text, encoding="utf-8")
         rc, _, _ = _check(capsys, ["check", path, f"--word={_word(rng, net.alphabet)}"])
         codes.add(rc)
         _check(capsys, ["eq", path, path, "--max-len", "2"])
         rc, _, _ = _check(capsys, ["lift", path, "--dim", "3", "-o", out])
         if rc == 0:
             # a file that parses emits a file that parses to the same net
-            _emitted(open(out, encoding="utf-8").read(),
+            _emitted(Path(out).read_text(encoding="utf-8"),
                      [constructions.lift(n, 3) for n in parse_machine_file(text)])
     assert codes == {0, 1, 2}
