@@ -433,12 +433,10 @@ def find_pump_family(
     first, then raising y, then x, and membership-checking every candidate
     family up to the horizon."""
     period = witness.period
-    for zc in range(1, caps.coefficient_cap + 1):
-        for yc in range(1, caps.coefficient_cap + 1):
-            for xc in range(1, caps.coefficient_cap + 1):
-                x, y, z = xc * period, yc * period, zc * period
-                if _family_holds(net, witness, x, y, z, caps.horizon):
-                    return PumpFamily(witness, x, y, z, caps.horizon)
+    for zc, yc, xc in itertools.product(range(1, caps.coefficient_cap + 1), repeat=3):
+        x, y, z = xc * period, yc * period, zc * period
+        if _family_holds(net, witness, x, y, z, caps.horizon):
+            return PumpFamily(witness, x, y, z, caps.horizon)
     return None
 
 
@@ -752,15 +750,8 @@ class RefuterResult:
     stats: dict
 
 
-def _verify_counterexample(factors: Sequence[CounterNet], sw: SegmentedWord) -> Optional[str]:
-    word = render_segmented(sw)
-    in_factors = all(accepts(f, word) for f in factors)
-    in_oracle = partition_oracle(sw)
-    if in_factors and not in_oracle:
-        return "intersection-only"
-    if in_oracle and not in_factors:
-        return "target-only"
-    return None
+# the side of a check_decomposition(partition_oracle, factors, ...) verdict
+_SIDES = {"left-only": "target-only", "right-only": "intersection-only"}
 
 
 def refute_partition_decomposition(
@@ -800,8 +791,7 @@ def _refute_enumerate(factors: Sequence[CounterNet], k: int, box: int) -> Refute
     stats = {"checked": rep.checked}
     if rep.verdict == "equal":
         return RefuterResult("exhausted", None, None, None, stats)
-    side = "target-only" if rep.verdict == "left-only" else "intersection-only"
-    return RefuterResult("counterexample", rep.counterexample, rep.params, side, stats)
+    return RefuterResult("counterexample", rep.counterexample, rep.params, _SIDES[rep.verdict], stats)
 
 
 def _refute_guided(given: Sequence[CounterNet], k: int, caps: SearchCaps) -> RefuterResult:
@@ -858,9 +848,9 @@ def _refute_guided(given: Sequence[CounterNet], k: int, caps: SearchCaps) -> Ref
         stats[f"segment_{segment}_pumps"] = (gx, gy, gz)
         for n in range(1, caps.n_cap + 1):
             sw = grow_word(base, segment, gx * n, gy * n, gz * n)
-            side = _verify_counterexample(given, sw)
-            if side == "intersection-only":
+            rep = check_decomposition(partition_oracle, given, [GenItem(render_segmented(sw), sw)])
+            if rep.verdict == "right-only":
                 stats["n"] = n
                 stats["segment"] = segment
-                return RefuterResult("counterexample", render_segmented(sw), sw, side, stats)
+                return RefuterResult("counterexample", rep.counterexample, sw, _SIDES[rep.verdict], stats)
     return exhausted("pumped words stayed inside the oracle language")

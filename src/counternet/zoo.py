@@ -14,6 +14,7 @@ over bounded parameter boxes.  The word shapes:
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -75,48 +76,29 @@ def render_segmented(w: SegmentedWord) -> Word:
     return tuple(out)
 
 
+# the segmented shape, and the longest prefix some segmented word extends
+_SEGMENTED = re.compile(r"((?:a*#)*)(b*)(c*)")
+_SEGMENTED_PREFIX = re.compile(r"(?:a*#)*(?:a+|b*c*)")
+# what a letter that ends the prefix means, by the letter before it
+_MISPLACED = {"a": "segment not closed by '#'", "b": "{!r} after the b block",
+              "c": "{!r} after the c block"}
+
+
 def parse_segmented(word: Sequence[str]) -> SegmentedWord:
     """Inverse of render_segmented.  Raises ValueError with the offending
     position for words not of the segmented shape."""
-    segments: list[int] = []
-    m_b = m_c = 0
-    phase = "seg"  # seg -> b -> c
-    count = 0
-    for pos, letter in enumerate(word):
-        if letter not in SEGMENT_ALPHABET:
-            raise ValueError(f"position {pos}: letter {letter!r} outside a/b/c/#")
-        if phase == "seg":
-            if letter == "a":
-                count += 1
-            elif letter == "#":
-                segments.append(count)
-                count = 0
-            elif letter == "b":
-                if count:
-                    raise ValueError(f"position {pos}: segment not closed by '#'")
-                phase = "b"
-                m_b = 1
-            else:  # c
-                if count:
-                    raise ValueError(f"position {pos}: segment not closed by '#'")
-                phase = "c"
-                m_c = 1
-        elif phase == "b":
-            if letter == "b":
-                m_b += 1
-            elif letter == "c":
-                phase = "c"
-                m_c = 1
-            else:
-                raise ValueError(f"position {pos}: {letter!r} after the b block")
-        else:
-            if letter == "c":
-                m_c += 1
-            else:
-                raise ValueError(f"position {pos}: {letter!r} after the c block")
-    if phase == "seg" and count:
-        raise ValueError(f"position {len(word)}: unterminated segment")
-    return SegmentedWord(tuple(segments), m_b, m_c)
+    # a letter outside the alphabet becomes '?', which no shape holds
+    text = "".join(x if x in SEGMENT_ALPHABET else "?" for x in word)
+    match = _SEGMENTED.fullmatch(text)
+    if match is None:
+        pos = _SEGMENTED_PREFIX.match(text).end()
+        if pos == len(text):
+            raise ValueError(f"position {pos}: unterminated segment")
+        if text[pos] == "?":
+            raise ValueError(f"position {pos}: letter {word[pos]!r} outside a/b/c/#")
+        raise ValueError(f"position {pos}: " + _MISPLACED[text[pos - 1]].format(word[pos]))
+    segments, bs, cs = match.groups()
+    return SegmentedWord(tuple(map(len, segments.split("#")[:-1])), len(bs), len(cs))
 
 
 def render_selector(k: int, w: SelectorWord) -> Word:

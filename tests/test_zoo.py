@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from counternet.core import accepts, is_deterministic
 from counternet.zoo import (
     PairedBlockWord,
     PartitionKWord,
+    SEGMENT_ALPHABET,
     SegmentedWord,
     SelectorWord,
     build_coarse_factors,
@@ -67,6 +70,81 @@ def test_parse_segmented_rejects_b_after_c():
 def test_parse_render_roundtrip_property(segs, m_b, m_c):
     sw = SegmentedWord(tuple(segs), m_b, m_c)
     assert parse_segmented(render_segmented(sw)) == sw
+
+
+# The hand scanner parse_segmented was before it became one fullmatch,
+# kept as the reference for its results and its error texts.
+
+def reference_parse_segmented(word):
+    segments = []
+    m_b = m_c = 0
+    phase = "seg"  # seg -> b -> c
+    count = 0
+    for pos, letter in enumerate(word):
+        if letter not in SEGMENT_ALPHABET:
+            raise ValueError(f"position {pos}: letter {letter!r} outside a/b/c/#")
+        if phase == "seg":
+            if letter == "a":
+                count += 1
+            elif letter == "#":
+                segments.append(count)
+                count = 0
+            elif letter == "b":
+                if count:
+                    raise ValueError(f"position {pos}: segment not closed by '#'")
+                phase = "b"
+                m_b = 1
+            else:  # c
+                if count:
+                    raise ValueError(f"position {pos}: segment not closed by '#'")
+                phase = "c"
+                m_c = 1
+        elif phase == "b":
+            if letter == "b":
+                m_b += 1
+            elif letter == "c":
+                phase = "c"
+                m_c = 1
+            else:
+                raise ValueError(f"position {pos}: {letter!r} after the b block")
+        else:
+            if letter == "c":
+                m_c += 1
+            else:
+                raise ValueError(f"position {pos}: {letter!r} after the c block")
+    if phase == "seg" and count:
+        raise ValueError(f"position {len(word)}: unterminated segment")
+    return SegmentedWord(tuple(segments), m_b, m_c)
+
+
+def _parsed(parse, word):
+    try:
+        return parse(word)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("letters, max_len", [
+    ("abc#", 8),  # 87,381 words
+    (("a", "b", "c", "#", "x", "ab", ""), 5),  # letters outside the alphabet, before and after misplaced ones
+])
+def test_parse_segmented_matches_the_hand_scanner(letters, max_len):
+    words = (w for n in range(max_len + 1) for w in product(letters, repeat=n))
+    mismatches = [w for w in words
+                  if _parsed(parse_segmented, w) != _parsed(reference_parse_segmented, w)]
+    assert mismatches == []
+
+
+def test_parse_segmented_messages():
+    cases = {"aab": "position 2: segment not closed by '#'",
+             "a#ba": "position 3: 'a' after the b block",
+             "a#cb": "position 3: 'b' after the c block",
+             "#aa": "position 3: unterminated segment",
+             "a#x": "position 2: letter 'x' outside a/b/c/#"}
+    for text, message in cases.items():
+        with pytest.raises(ValueError) as err:
+            parse_segmented(word(text))
+        assert str(err.value) == message
 
 
 # --- the partition oracle -----------------------------------------------
