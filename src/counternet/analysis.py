@@ -467,14 +467,18 @@ class AllWords:
     max_len: int
 
     def size(self) -> int:
-        a = len(self.alphabet)
-        return sum(a ** i for i in range(self.max_len + 1))
+        return _geometric(len(self.alphabet), self.max_len)
 
     def __iter__(self) -> Iterator[GenItem]:
         letters = sorted(self.alphabet)
         for length in range(self.max_len + 1):
             for combo in itertools.product(letters, repeat=length):
                 yield GenItem(combo)
+
+
+def _geometric(base: int, top: int) -> int:
+    """sum(base ** i for i in range(top + 1)), with one power."""
+    return top + 1 if base == 1 else (base ** (top + 1) - 1) // (base - 1)
 
 
 def all_words(alphabet: Iterable[str], max_len: int) -> AllWords:
@@ -516,22 +520,45 @@ def segmented_box(t_max: int, seg_max: int, b_max: Optional[int] = None, c_max: 
     c_max = seg_max if c_max is None else c_max
     _nonnegative(t_max=t_max, seg_max=seg_max, b_max=b_max, c_max=c_max)
 
+    a_hash = _blocks("a", seg_max, ("#",))
+    tail_max = b_max + c_max
+
     def items() -> Iterator[GenItem]:
-        a_hash = itertools.repeat(_blocks("a", seg_max, ("#",)))  # the same blocks for every segment
         bs, cs = _blocks("b", b_max), _blocks("c", c_max)
-        # per t, each segment tuple with its length t + sum(segs) and its
-        # rendered segments, in lexicographic order
-        tuples = [[(segs, t + sum(segs), _joined(a_hash, segs))
-                   for segs in itertools.product(range(seg_max + 1), repeat=t)]
-                  for t in range(t_max + 1)]
-        for length in range(t_max * (seg_max + 1) + b_max + c_max + 1):
-            for segs_t in tuples:
-                for segs, base, head in segs_t:
-                    rest = length - base  # m_b + m_c
+        # the first t - 1 segments -> their head, and the (segs, head) of
+        # each tuple extending them, each joined the first time it is needed
+        ends: dict[tuple[int, ...], tuple[Word, list]] = {}
+
+        def heads(t: int, free: int) -> Iterator[tuple[tuple[int, ...], Word, int]]:
+            """Each t-segment tuple, in lexicographic order, with its head
+            and the letters rest = m_b + m_c it leaves of `free`, when that
+            is in 0..tail_max: the first t - 1 segments from product, the
+            last from the window that rest allows."""
+            if t == 0:
+                if free <= tail_max:
+                    yield (), (), free
+                return
+            for first in itertools.product(range(seg_max + 1), repeat=t - 1):
+                room = free - sum(first)
+                lasts = range(max(0, room - tail_max), min(seg_max, room) + 1)
+                if lasts:
+                    known = ends.get(first)
+                    if known is None:
+                        known = ends[first] = (_joined(itertools.repeat(a_hash), first), [None] * (seg_max + 1))
+                    prefix_head, whole = known
+                    for last in lasts:
+                        pair = whole[last]
+                        if pair is None:
+                            pair = whole[last] = (first + (last,), prefix_head + a_hash[last])
+                        yield (*pair, room - last)
+
+        for length in range(t_max * (seg_max + 1) + tail_max + 1):
+            for t in range(t_max + 1):
+                for segs, head, rest in heads(t, length - t):
                     for m_b in range(max(0, rest - c_max), min(b_max, rest) + 1):
                         yield GenItem(head + bs[m_b] + cs[rest - m_b], SegmentedWord(segs, m_b, rest - m_b))
 
-    count = sum((seg_max + 1) ** t for t in range(t_max + 1)) * (b_max + 1) * (c_max + 1)
+    count = _geometric(seg_max + 1, t_max) * (b_max + 1) * (c_max + 1)
     return WordBox(count, items)
 
 
@@ -647,18 +674,24 @@ def bounded_compare(
     sequence accepts every word).  When the generator is AllWords and
     neither side is a callable or empty, the sweep runs as a joint
     frontier walk, with a sequence replaced by its product, which covers
-    the same words exactly.  Otherwise words are decided in generator
-    order, each net through one FrontierGraph, so a frontier reached by
-    many prefixes is stepped once per letter.  A counterexample is
+    the same words exactly if the generator holds every letter the nets
+    read.  Otherwise words are decided in generator order, each net
+    through one FrontierGraph, so a frontier reached by many prefixes is
+    stepped once per letter.  A counterexample is
     re-verified with plain accepts from the empty prefix before it is
     reported.
     """
     if isinstance(generator, AllWords) and not any(callable(s) or not s for s in (left, right)):
         a, b = (s if isinstance(s, CounterNet) else product_all(s) for s in (left, right))
-        return compare_nets_walk(a, b, generator.max_len)
-    sized = getattr(generator, "size", None)
-    if sized is not None and sized() > hard_cap:
-        raise SweepLimitError(f"generator holds {sized()} words, cap is {hard_cap}")
+        # a letter neither net reads kills both sides, so the walk, over the
+        # nets' alphabet, is exact when the generator holds every letter read
+        if {t.letter for n in (a, b) for t in n.transitions} <= set(generator.alphabet):
+            return compare_nets_walk(a, b, generator.max_len)
+    size = generator.size() if hasattr(generator, "size") else 0
+    if size > hard_cap:
+        # Python refuses to print an integer of more than 4,300 digits
+        held = size if size < 10**4300 else f"about 10^{math.log10(size):.0f}"
+        raise SweepLimitError(f"generator holds {held} words, cap is {hard_cap}")
     decide_left, decide_right = (_side_decider(s, lambda net: FrontierGraph(net).accepts) for s in (left, right))
     checked = 0
     for word, params in generator:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -45,6 +46,9 @@ _K_HELP = "parameter for zoo:" + "/".join(f for f in zoo.FAMILIES if "k" in f) +
 # effect entries (dimension x transitions) `lift` may build: one entry is a
 # few bytes of tuple and a few of text, far below what exhausts memory
 LIFT_BUDGET = 10**6
+# largest zoo parameter k: zoo:Lk.ncn has about k^3/2 transitions, and
+# `check zoo:L40.ncn` takes 0.6 s and 40 MB on a shared 2-vCPU x86-64 VM
+K_BUDGET = 40
 
 
 class CliError(Exception):
@@ -55,8 +59,11 @@ class CliError(Exception):
 # machine references
 
 def _build_family(family: str, k: Optional[int], ref: str) -> dict[str, CounterNet]:
-    if "k" in family and k is None:
-        raise CliError(f"{ref} needs --k")
+    if "k" in family:
+        if k is None:
+            raise CliError(f"{ref} needs --k")
+        if k > K_BUDGET:
+            raise CliError(f"{ref}: k = {k} is above the budget of {K_BUDGET}")
     return zoo.FAMILIES[family](k)
 
 
@@ -449,6 +456,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # parsing leaves the parser as it was
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="counternet",

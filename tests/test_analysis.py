@@ -650,6 +650,27 @@ def test_segmented_box_streams_its_first_words():
     assert [len(it.word) for it in first] == sorted(len(it.word) for it in first)
 
 
+def test_segmented_box_memory_does_not_grow_with_the_box():
+    # the enumerate refuter stops at its first counterexample, among the
+    # shortest words; reaching them must not cost the (cap + 1)^3 tuples,
+    # nor a head per segment size (670 KB at cap 100)
+    def peak(cap):
+        tracemalloc.start()
+        try:
+            for item in segmented_box(3, cap):
+                if len(item.word) > 5:
+                    break
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(100) < peak(6) + 2**18
+
+
+@pytest.mark.parametrize("letters, max_len", [("", 3), ("a", 5), ("ab", 0), ("ab", 7), ("abcd", 9)])
+def test_all_words_size_is_the_count(letters, max_len):
+    assert all_words(letters, max_len).size() == sum(len(letters) ** n for n in range(max_len + 1))
+
+
 @pytest.mark.parametrize("family, args", [
     ("words", ("ab", 3)), ("segmented", (2, 1)), ("segmented", (1, 2, 0, 1)),
     ("triple", (2,)), ("selector", (2, 1)), ("selector", (3, 1, 0)), ("paired", (2, 1)),
@@ -724,6 +745,8 @@ BOX_CASES = [
     ("selector", (1, 0)), ("selector", (3, 2)), ("selector", (2, 3, 0)), ("selector", (3, 1, 4)),
     ("selector", (2, 0, 2)),
     ("paired", (0, 3)), ("paired", (2, 0)), ("paired", (3, 2)), ("paired", (1, 4)),
+    ("segmented", (0, 3, 2, 1)), ("segmented", (4, 1, 0, 2)), ("segmented", (3, 2, 4, 1)),
+    ("segmented", (2, 4, 1, 1)), ("segmented", (1, 0, 0, 0)), ("segmented", (3, 1, 2, 2)),
 ]
 
 
@@ -775,6 +798,20 @@ def test_compare_hard_cap():
     p = build_partition_net()
     with pytest.raises(SweepLimitError):
         bounded_compare(p, partition_oracle, segmented_box(3, 6), hard_cap=10)
+
+
+def test_walk_only_over_words_the_generator_holds():
+    # a and b differ only on words that hold y
+    def net(name, letters):
+        return validate(CounterNet(
+            name=name, dimension=0, alphabet=frozenset("xy"), states=("q",), initial=("q",),
+            accepting=("q",), transitions=tuple(Transition("q", x, (), "q") for x in letters)))
+    a, b = net("a", "xy"), net("b", "x")
+    rep = bounded_compare(a, b, all_words({"x"}, 2))
+    assert (rep.verdict, rep.checked) == ("equal", 3)
+    assert bounded_compare(a, lambda w: "y" not in w, all_words({"x"}, 2)) == rep
+    rep = bounded_compare(a, b, all_words("xy", 2))
+    assert (rep.verdict, rep.counterexample) == ("left-only", ("y",))
 
 
 def test_walk_requires_common_alphabet():

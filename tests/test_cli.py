@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
 from counternet import analysis, cli, fileformat, zoo
-from counternet.cli import LIFT_BUDGET, main
+from counternet.cli import K_BUDGET, LIFT_BUDGET, main
 from counternet.core import EnumerationCapError
 from counternet.fileformat import parse_machine_file, render_word_text
 
@@ -376,6 +377,29 @@ def test_zoo_parametric_families(capsys, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["zoo", "Lk", "--k", str(K_BUDGET + 1)],
+    ["zoo", "Hk", "--k", str(K_BUDGET + 1), "--emit"],
+    ["check", f"zoo:L{K_BUDGET + 1}.ncn", "--word", "c"],
+    ["--k", str(K_BUDGET + 1), "check", "zoo:PkConj", "--word", "a"],
+    ["eq", f"zoo:H{K_BUDGET + 1}", "zoo:Hk", "--k", "1", "--max-len", "1"],
+])
+def test_zoo_k_past_the_budget_is_refused_before_it_is_built(monkeypatch, capsys, argv):
+    def unbuilt(k):
+        raise AssertionError(f"built a family with k = {k}")
+    for family in zoo.FAMILIES:
+        monkeypatch.setitem(zoo.FAMILIES, family, unbuilt)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"k = {K_BUDGET + 1} is above the budget of {K_BUDGET}" in err
+
+
+def test_zoo_k_at_the_budget_builds(capsys):
+    rc, out, _ = run(capsys, "zoo", "PkConj", "--k", str(K_BUDGET))
+    assert rc == 0 and f"partition_{K_BUDGET}: dim {K_BUDGET}" in out
+
+
 def test_zoo_entry_spellings(capsys):
     # L3.dcn carries its parameter inline; --k fills the bare spelling
     rc, rep, _ = run_json(capsys, "eq", "zoo:L3.dcn", "zoo:L3k.dcn", "--box",
@@ -585,12 +609,30 @@ def test_sweep_over_the_hard_cap_is_a_usage_error(capsys):
     assert err == "error: generator holds 235794757 words, cap is 2000000\n"
 
 
+def test_sweep_past_printable_size_is_refused_at_once(capsys):
+    # 4^100001 words: the count has 60,206 digits, past what Python prints
+    started = perf_counter()
+    rc, text, err = run(capsys, "decompose-check", "zoo:P", "--max-len", "100000")
+    assert perf_counter() - started < 1
+    assert rc == 2 and text == ""
+    assert err == "error: generator holds about 10^60206 words, cap is 2000000\n"
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["eq"]) == 2
     assert main(["not-a-command"]) == 2
     # pump takes the first accepting run and has no run cap to set
     assert main(["pump", "zoo:coarse.b", "--word", "a^6 # b^3", "--run-cap", "-1"]) == 2
     capsys.readouterr()
+
+
+def test_the_parser_is_built_once(capsys):
+    assert cli._parser() is cli._parser()
+    # a parse leaves it unchanged for the next one
+    assert run(capsys, "check", "zoo:coarse.b", "--word", "a")[:2] == (0, "accept: a\n")
+    assert run(capsys, "--k", "2", "zoo", "PkConj")[0] == 0
+    assert run(capsys, "check", "zoo:coarse.b", "--word", "b")[:2] == (1, "reject: b\n")
+    assert cli._parser().parse_args(["zoo", "P"]).k is None
 
 
 def test_help_exits_zero(capsys):

@@ -20,14 +20,6 @@ from counternet.fileformat import emit_machine_file, parse_machine_file, render_
 from randnets import random_cn, random_dcn
 
 
-@pytest.fixture(autouse=True)
-def _one_parser(monkeypatch):
-    # every case parses with the same parser, and building it takes most
-    # of an in-process call, so build it once
-    parser = cli._parser()
-    monkeypatch.setattr(cli, "_parser", lambda: parser)
-
-
 def _run(capsys, argv):
     rc = main(argv)
     out, err = capsys.readouterr()
