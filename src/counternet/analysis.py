@@ -520,14 +520,12 @@ def segmented_box(t_max: int, seg_max: int, b_max: Optional[int] = None, c_max: 
     c_max = seg_max if c_max is None else c_max
     _nonnegative(t_max=t_max, seg_max=seg_max, b_max=b_max, c_max=c_max)
 
-    a_hash = _blocks("a", seg_max, ("#",))
     tail_max = b_max + c_max
 
     def items() -> Iterator[GenItem]:
-        bs, cs = _blocks("b", b_max), _blocks("c", c_max)
-        # the first t - 1 segments -> their head, and the (segs, head) of
-        # each tuple extending them, each joined the first time it is needed
-        ends: dict[tuple[int, ...], tuple[Word, list]] = {}
+        a_hash, bs, cs = _blocks("a", seg_max, ("#",)), _blocks("b", b_max), _blocks("c", c_max)
+        # the first t - 1 segments -> their head, joined the first time it is needed
+        ends: dict[tuple[int, ...], Word] = {}
 
         def heads(t: int, free: int) -> Iterator[tuple[tuple[int, ...], Word, int]]:
             """Each t-segment tuple, in lexicographic order, with its head
@@ -542,15 +540,11 @@ def segmented_box(t_max: int, seg_max: int, b_max: Optional[int] = None, c_max: 
                 room = free - sum(first)
                 lasts = range(max(0, room - tail_max), min(seg_max, room) + 1)
                 if lasts:
-                    known = ends.get(first)
-                    if known is None:
-                        known = ends[first] = (_joined(itertools.repeat(a_hash), first), [None] * (seg_max + 1))
-                    prefix_head, whole = known
+                    prefix_head = ends.get(first)
+                    if prefix_head is None:
+                        prefix_head = ends[first] = _joined(itertools.repeat(a_hash), first)
                     for last in lasts:
-                        pair = whole[last]
-                        if pair is None:
-                            pair = whole[last] = (first + (last,), prefix_head + a_hash[last])
-                        yield (*pair, room - last)
+                        yield first + (last,), prefix_head + a_hash[last], room - last
 
         for length in range(t_max * (seg_max + 1) + tail_max + 1):
             for t in range(t_max + 1):

@@ -618,6 +618,20 @@ def test_sweep_past_printable_size_is_refused_at_once(capsys):
     assert err == "error: generator holds about 10^60206 words, cap is 2000000\n"
 
 
+@pytest.mark.parametrize("argv, held", [
+    (["decompose-check", "zoo:P", "--segmented-box", "100000"], "10000600015000200001400004"),
+    (["eq", "zoo:P", "zoo:P", "--box", "segmented:2,100000"], "100005000100000900003"),
+])
+def test_segmented_box_past_the_cap_is_refused_at_once(capsys, argv, held):
+    # the letter blocks, (cap + 1)(cap + 2)/2 letters each, are built only
+    # when the box is swept, after its count has been checked
+    started = perf_counter()
+    rc, text, err = run(capsys, *argv)
+    assert perf_counter() - started < 1
+    assert rc == 2 and text == ""
+    assert err == f"error: generator holds {held} words, cap is 2000000\n"
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["eq"]) == 2
     assert main(["not-a-command"]) == 2
