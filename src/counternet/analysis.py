@@ -502,8 +502,9 @@ class WordBox:
         return self.items()
 
 
-# The boxes join each word from letter blocks built once per pass,
-# blocks[n] = (letter,) * n + end, into the word zoo.render_* gives.
+# The boxes join each word from letter blocks, blocks[n] = (letter,) * n
+# + end, into the word zoo.render_* gives; segmented_box grows its blocks
+# with the rendered length, the other boxes build them once per pass.
 
 def _blocks(letter: str, cap: int, end: Word = ()) -> list[Word]:
     return [(letter,) * n + end for n in range(cap + 1)]
@@ -523,34 +524,24 @@ def segmented_box(t_max: int, seg_max: int, b_max: Optional[int] = None, c_max: 
     tail_max = b_max + c_max
 
     def items() -> Iterator[GenItem]:
-        a_hash, bs, cs = _blocks("a", seg_max, ("#",)), _blocks("b", b_max), _blocks("c", c_max)
-        # the first t - 1 segments -> their head, joined the first time it is needed
-        ends: dict[tuple[int, ...], Word] = {}
-
-        def heads(t: int, free: int) -> Iterator[tuple[tuple[int, ...], Word, int]]:
-            """Each t-segment tuple, in lexicographic order, with its head
-            and the letters rest = m_b + m_c it leaves of `free`, when that
-            is in 0..tail_max: the first t - 1 segments from product, the
-            last from the window that rest allows."""
-            if t == 0:
-                if free <= tail_max:
-                    yield (), (), free
-                return
-            for first in itertools.product(range(seg_max + 1), repeat=t - 1):
-                room = free - sum(first)
-                lasts = range(max(0, room - tail_max), min(seg_max, room) + 1)
-                if lasts:
-                    prefix_head = ends.get(first)
-                    if prefix_head is None:
-                        prefix_head = ends[first] = _joined(itertools.repeat(a_hash), first)
-                    for last in lasts:
-                        yield first + (last,), prefix_head + a_hash[last], room - last
-
+        a_hash, bs, cs = [], [], []  # the blocks of up to `length` letters, grown with it
         for length in range(t_max * (seg_max + 1) + tail_max + 1):
-            for t in range(t_max + 1):
-                for segs, head, rest in heads(t, length - t):
-                    for m_b in range(max(0, rest - c_max), min(b_max, rest) + 1):
-                        yield GenItem(head + bs[m_b] + cs[rest - m_b], SegmentedWord(segs, m_b, rest - m_b))
+            if length <= seg_max:
+                a_hash.append(("a",) * length + ("#",))
+            if length <= b_max:
+                bs.append(("b",) * length)
+            if length <= c_max:
+                cs.append(("c",) * length)
+            # t segments take t to t (seg_max + 1) letters; the tail takes the rest
+            for t in range(max(0, -((tail_max - length) // (seg_max + 1))), min(t_max, length) + 1):
+                for segs in itertools.product(range(min(seg_max, length - t) + 1), repeat=t):
+                    rest = length - t - sum(segs)
+                    if 0 <= rest <= tail_max:
+                        # concatenated: CPython resizes a tuple built from an iterator,
+                        # and its small-tuple free lists then fill (4 MB over the (4, 6) box)
+                        head = sum(map(a_hash.__getitem__, segs), ())
+                        for m_b in range(max(0, rest - c_max), min(b_max, rest) + 1):
+                            yield GenItem(head + bs[m_b] + cs[rest - m_b], SegmentedWord(segs, m_b, rest - m_b))
 
     count = _geometric(seg_max + 1, t_max) * (b_max + 1) * (c_max + 1)
     return WordBox(count, items)
@@ -564,10 +555,8 @@ def triple_box(cap: int) -> WordBox:
         a_hash, b_hash, cs = _blocks("a", cap, ("#",)), _blocks("b", cap, ("#",)), _blocks("c", cap)
         for total in range(3 * cap + 1):
             for m in range(min(cap, total) + 1):
-                for n in range(min(cap, total - m) + 1):
+                for n in range(max(0, total - m - cap), min(cap, total - m) + 1):
                     k = total - m - n
-                    if k > cap:
-                        continue
                     yield GenItem(a_hash[m] + b_hash[n] + cs[k], (m, n, k))
 
     return WordBox((cap + 1) ** 3, items)

@@ -75,14 +75,8 @@ def parse_machine_file(text: str) -> list[CounterNet]:
                 cur["dim"] = None
             if cur["dim"] is None or cur["dim"] < 0:
                 raise MachineFileError(line_no, "dim takes one non-negative integer")
-        elif key == "alphabet":
-            cur["alphabet"].extend(args)
-        elif key == "states":
-            cur["states"].extend(args)
-        elif key == "init":
-            cur["init"].extend(args)
-        elif key == "accept":
-            cur["accept"].extend(args)
+        elif key in ("alphabet", "states", "init", "accept"):
+            cur[key].extend(args)
         elif key == "trans":
             if cur["dim"] is None:
                 raise MachineFileError(line_no, "trans before dim")

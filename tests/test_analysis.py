@@ -652,8 +652,8 @@ def test_segmented_box_streams_its_first_words():
 
 def test_segmented_box_memory_does_not_grow_with_the_box():
     # the enumerate refuter stops at its first counterexample, among the
-    # shortest words; reaching them must not cost the (cap + 1)^3 tuples,
-    # nor a head per segment size (670 KB at cap 100)
+    # shortest words; reaching them must cost only what words of their
+    # length need, not segment tuples or letter blocks up to the cap
     def peak(cap):
         tracemalloc.start()
         try:
@@ -663,7 +663,7 @@ def test_segmented_box_memory_does_not_grow_with_the_box():
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak(100) < peak(6) + 2**18
+    assert peak(10000) < peak(6) + 2**18
 
 
 @pytest.mark.parametrize("letters, max_len", [("", 3), ("a", 5), ("ab", 0), ("ab", 7), ("abcd", 9)])
@@ -747,6 +747,10 @@ BOX_CASES = [
     ("paired", (0, 3)), ("paired", (2, 0)), ("paired", (3, 2)), ("paired", (1, 4)),
     ("segmented", (0, 3, 2, 1)), ("segmented", (4, 1, 0, 2)), ("segmented", (3, 2, 4, 1)),
     ("segmented", (2, 4, 1, 1)), ("segmented", (1, 0, 0, 0)), ("segmented", (3, 1, 2, 2)),
+    # seg_max or the tail 0: the fewest segments a length needs reaches t_max
+    ("segmented", (6, 0)), ("segmented", (5, 1, 0, 0)), ("segmented", (3, 3, 0, 0)),
+    ("segmented", (2, 2, 5, 0)), ("segmented", (4, 0, 2, 1)), ("segmented", (7, 0, 1, 1)),
+    ("segmented", (2, 5, 0, 3)),
 ]
 
 

@@ -625,6 +625,22 @@ def test_sweep_past_the_cap_is_refused_at_once(capsys, argv, held):
     assert err == f"error: generator holds {held} words, cap is 2000000\n"
 
 
+@pytest.mark.parametrize("argv, rc, out, seconds", [
+    # the first counterexample is a five-letter word, found without
+    # listing segment tuples or letter blocks up to the cap
+    (["refute-p", "zoo:coarse.b", "zoo:coarse.c", "--param-box", "10000"], 1,
+     "counterexample (intersection-only): 'a # b c' separates the factor intersection"
+     " from the partition language\n", 2),
+    # 401 words, one segment count per length: t segments of no a's take t letters
+    (["eq", "zoo:P", "zoo:P", "--box", "segmented:400,0"], 0,
+     "equal (401 prefixes/words checked)\n", 1),
+], ids=["refute-p", "eq"])
+def test_segmented_sweeps_try_only_the_segment_counts_that_fit(capsys, argv, rc, out, seconds):
+    started = perf_counter()
+    assert run(capsys, *argv) == (rc, out, "")
+    assert perf_counter() - started < seconds
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["eq"]) == 2
     assert main(["not-a-command"]) == 2
