@@ -532,14 +532,20 @@ def segmented_box(t_max: int, seg_max: int, b_max: Optional[int] = None, c_max: 
                 bs.append(("b",) * length)
             if length <= c_max:
                 cs.append(("c",) * length)
-            # t segments take t to t (seg_max + 1) letters; the tail takes the rest
-            for t in range(max(0, -((tail_max - length) // (seg_max + 1))), min(t_max, length) + 1):
-                for segs in itertools.product(range(min(seg_max, length - t) + 1), repeat=t):
-                    rest = length - t - sum(segs)
-                    if 0 <= rest <= tail_max:
-                        # concatenated: CPython resizes a tuple built from an iterator,
-                        # and its small-tuple free lists then fill (4 MB over the (4, 6) box)
-                        head = sum(map(a_hash.__getitem__, segs), ())
+            if length <= tail_max:  # no segments: the tail is the whole word
+                for m_b in range(max(0, length - c_max), min(b_max, length) + 1):
+                    yield GenItem(bs[m_b] + cs[length - m_b], SegmentedWord((), m_b, length - m_b))
+            # t segments take t to t (seg_max + 1) letters and the tail the rest: the
+            # first t - 1 sizes from product, the last from the window the tail allows
+            for t in range(max(1, -((tail_max - length) // (seg_max + 1))), min(t_max, length) + 1):
+                for first in itertools.product(range(min(seg_max, length - t) + 1), repeat=t - 1):
+                    room = length - t - sum(first)
+                    lasts = range(max(0, room - tail_max), min(seg_max, room) + 1)
+                    # concatenated: CPython resizes a tuple built from an iterator,
+                    # and its small-tuple free lists then fill (4 MB over the (4, 6) box)
+                    prefix = sum(map(a_hash.__getitem__, first), ()) if lasts else ()
+                    for last in lasts:
+                        segs, head, rest = first + (last,), prefix + a_hash[last], room - last
                         for m_b in range(max(0, rest - c_max), min(b_max, rest) + 1):
                             yield GenItem(head + bs[m_b] + cs[rest - m_b], SegmentedWord(segs, m_b, rest - m_b))
 
