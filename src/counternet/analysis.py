@@ -400,9 +400,15 @@ def find_bad_segment_witness(
     return WitnessSearch(None, inconclusive, tried)
 
 
-def _graded_tuples(arity: int, cap: int) -> list[tuple[int, ...]]:
-    """Tuples over 1..cap ordered by coordinate sum, then lexicographic."""
-    return sorted(itertools.product(range(1, cap + 1), repeat=arity), key=lambda t: (sum(t), t))
+def _graded_tuples(arity: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Tuples over 1..cap ordered by coordinate sum, then lexicographic:
+    for each sum, the first arity - 1 coordinates from one product, the
+    last what the sum leaves of them."""
+    for total in range(arity, arity * cap + 1):
+        for head in itertools.product(range(1, min(cap, total - arity + 1) + 1), repeat=arity - 1):
+            last = total - sum(head)
+            if 1 <= last <= cap:
+                yield head + (last,)
 
 
 @dataclass(frozen=True)
@@ -435,17 +441,10 @@ def find_pump_family(
     period = witness.period
     for zc, yc, xc in itertools.product(range(1, caps.coefficient_cap + 1), repeat=3):
         x, y, z = xc * period, yc * period, zc * period
-        if _family_holds(net, witness, x, y, z, caps.horizon):
+        if all(accepts(net, render_segmented(grow_word(witness.word, witness.segment, x * n, y * n, z * n)))
+               for n in range(1, caps.horizon + 1)):
             return PumpFamily(witness, x, y, z, caps.horizon)
     return None
-
-
-def _family_holds(net: CounterNet, witness: BadSegmentWitness, x: int, y: int, z: int, horizon: int) -> bool:
-    for n in range(1, horizon + 1):
-        grown = grow_word(witness.word, witness.segment, x * n, y * n, z * n)
-        if not accepts(net, render_segmented(grown)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -461,13 +460,18 @@ class GenItem(NamedTuple):
 
 @dataclass(frozen=True)
 class AllWords:
-    """Generator of every word up to max_len, graded lexicographic."""
+    """Generator of every word up to max_len, graded lexicographic, with
+    log10 and size() as a WordBox has them."""
 
     alphabet: tuple[str, ...]
     max_len: int
 
-    def size(self) -> int:
-        return _geometric(len(self.alphabet), self.max_len)
+    @property
+    def log10(self) -> float:
+        return _log10_geometric(len(self.alphabet), self.max_len)
+
+    def size(self) -> Union[int, float]:
+        return _geometric(len(self.alphabet), self.max_len) if self.log10 < _DIGITS else math.inf
 
     def __iter__(self) -> Iterator[GenItem]:
         letters = sorted(self.alphabet)
@@ -481,6 +485,19 @@ def _geometric(base: int, top: int) -> int:
     return top + 1 if base == 1 else (base ** (top + 1) - 1) // (base - 1)
 
 
+def _log10_geometric(base: int, top: int) -> float:
+    """log10 of _geometric(base, top), leaving out the - 1 of its numerator."""
+    if base < 2:
+        return math.log10(_geometric(base, top))
+    return (top + 1) * math.log10(base) - math.log10(base - 1)
+
+
+# Python refuses to print an integer of more than 4,300 digits, and one of
+# millions takes seconds to build: a size() past that is math.inf, the
+# count known only by its logarithm
+_DIGITS = 4300
+
+
 def all_words(alphabet: Iterable[str], max_len: int) -> AllWords:
     if max_len < 0:
         raise ValueError(f"word length bound must be >= 0, got {max_len}")
@@ -489,14 +506,15 @@ def all_words(alphabet: Iterable[str], max_len: int) -> AllWords:
 
 @dataclass(frozen=True)
 class WordBox:
-    """A finite word generator of `count` words; every pass calls items()
-    for a fresh iterator."""
+    """A finite word generator of count() words, a number whose base-10
+    logarithm is log10; every pass calls items() for a fresh iterator."""
 
-    count: int
+    log10: float
+    count: Callable[[], int]
     items: Callable[[], Iterator[GenItem]]
 
-    def size(self) -> int:
-        return self.count
+    def size(self) -> Union[int, float]:
+        return self.count() if self.log10 < _DIGITS else math.inf
 
     def __iter__(self) -> Iterator[GenItem]:
         return self.items()
@@ -549,8 +567,9 @@ def segmented_box(t_max: int, seg_max: int, b_max: Optional[int] = None, c_max: 
                         for m_b in range(max(0, rest - c_max), min(b_max, rest) + 1):
                             yield GenItem(head + bs[m_b] + cs[rest - m_b], SegmentedWord(segs, m_b, rest - m_b))
 
-    count = _geometric(seg_max + 1, t_max) * (b_max + 1) * (c_max + 1)
-    return WordBox(count, items)
+    tails = (b_max + 1) * (c_max + 1)
+    return WordBox(_log10_geometric(seg_max + 1, t_max) + math.log10(tails),
+                   lambda: _geometric(seg_max + 1, t_max) * tails, items)
 
 
 def triple_box(cap: int) -> WordBox:
@@ -565,7 +584,7 @@ def triple_box(cap: int) -> WordBox:
                     k = total - m - n
                     yield GenItem(a_hash[m] + b_hash[n] + cs[k], (m, n, k))
 
-    return WordBox((cap + 1) ** 3, items)
+    return WordBox(3 * math.log10(cap + 1), lambda: (cap + 1) ** 3, items)
 
 
 def selector_box(k: int, block_max: int, tail_max: Optional[int] = None) -> WordBox:
@@ -587,7 +606,8 @@ def selector_box(k: int, block_max: int, tail_max: Optional[int] = None) -> Word
                 for tail in range(tail_max + 1):
                     yield GenItem(head_b + cs[tail], SelectorWord(blocks, choice, tail))
 
-    return WordBox((block_max + 1) ** k * k * (tail_max + 1), items)
+    return WordBox(k * math.log10(block_max + 1) + math.log10(k * (tail_max + 1)),
+                   lambda: (block_max + 1) ** k * k * (tail_max + 1), items)
 
 
 def paired_box(k: int, cap: int) -> WordBox:
@@ -606,7 +626,7 @@ def paired_box(k: int, cap: int) -> WordBox:
             for demands, demand in zip(counts, demand_half):
                 yield GenItem(supply + demand, PairedBlockWord(supplies, demands))
 
-    return WordBox((cap + 1) ** (2 * k), items)
+    return WordBox(2 * k * math.log10(cap + 1), lambda: (cap + 1) ** (2 * k), items)
 
 
 # The word box families by name, each with the argument counts its
@@ -678,8 +698,7 @@ def bounded_compare(
             return compare_nets_walk(a, b, generator.max_len)
     size = generator.size() if hasattr(generator, "size") else 0
     if size > hard_cap:
-        # Python refuses to print an integer of more than 4,300 digits
-        held = size if size < 10**4300 else f"about 10^{math.log10(size):.0f}"
+        held = size if size < 10**_DIGITS else f"about 10^{generator.log10:.0f}"
         raise SweepLimitError(f"generator holds {held} words, cap is {hard_cap}")
     decide_left, decide_right = (_side_decider(s, lambda net: FrontierGraph(net).accepts) for s in (left, right))
     checked = 0
@@ -772,10 +791,6 @@ class RefuterResult:
     stats: dict
 
 
-# the side of a check_decomposition(partition_oracle, factors, ...) verdict
-_SIDES = {"left-only": "target-only", "right-only": "intersection-only"}
-
-
 def refute_partition_decomposition(
     factors: Sequence[CounterNet],
     strategy: str = "enumerate",
@@ -813,7 +828,8 @@ def _refute_enumerate(factors: Sequence[CounterNet], k: int, box: int) -> Refute
     stats = {"checked": rep.checked}
     if rep.verdict == "equal":
         return RefuterResult("exhausted", None, None, None, stats)
-    return RefuterResult("counterexample", rep.counterexample, rep.params, _SIDES[rep.verdict], stats)
+    side = "target-only" if rep.verdict == "left-only" else "intersection-only"
+    return RefuterResult("counterexample", rep.counterexample, rep.params, side, stats)
 
 
 def _refute_guided(given: Sequence[CounterNet], k: int, caps: SearchCaps) -> RefuterResult:
@@ -833,28 +849,14 @@ def _refute_guided(given: Sequence[CounterNet], k: int, caps: SearchCaps) -> Ref
             stats["witness_words"] += search.words_tried
             if search.witness is None:
                 cut = cut or search.inconclusive
-                per_factor = []
                 break
             per_factor.append(search.witness)
-        if per_factor:
+        else:
             witnesses[segment] = per_factor
 
-    def exhausted(reason: str) -> RefuterResult:
-        stats["reason"] = "run_cap cut the witness search" if cut else reason
-        return RefuterResult("exhausted", None, None, None, stats)
-
-    if not witnesses:
-        return exhausted("no segment is bad in every factor")
-
-    for segment, per_factor in sorted(witnesses.items()):
-        families = []
-        for f, w in zip(factors, per_factor):
-            fam = find_pump_family(f, w, caps)
-            if fam is None:
-                families = []
-                break
-            families.append(fam)
-        if not families:
+    for segment, per_factor in witnesses.items():
+        families = [find_pump_family(f, w, caps) for f, w in zip(factors, per_factor)]
+        if None in families:
             continue
         # base word: componentwise maximum of the witness words
         t_segments = tuple(
@@ -870,9 +872,13 @@ def _refute_guided(given: Sequence[CounterNet], k: int, caps: SearchCaps) -> Ref
         stats[f"segment_{segment}_pumps"] = (gx, gy, gz)
         for n in range(1, caps.n_cap + 1):
             sw = grow_word(base, segment, gx * n, gy * n, gz * n)
-            rep = check_decomposition(partition_oracle, given, [GenItem(render_segmented(sw), sw)])
-            if rep.verdict == "right-only":
+            # a lone word has no prefix for a FrontierGraph to share: plain accepts, factors as given
+            word = render_segmented(sw)
+            if not partition_oracle(sw) and all(accepts(f, word) for f in given):
                 stats["n"] = n
                 stats["segment"] = segment
-                return RefuterResult("counterexample", rep.counterexample, sw, _SIDES[rep.verdict], stats)
-    return exhausted("pumped words stayed inside the oracle language")
+                return RefuterResult("counterexample", word, sw, "intersection-only", stats)
+    stats["reason"] = ("run_cap cut the witness search" if cut
+                       else "pumped words stayed inside the oracle language" if witnesses
+                       else "no segment is bad in every factor")
+    return RefuterResult("exhausted", None, None, None, stats)

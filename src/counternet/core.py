@@ -94,14 +94,6 @@ class CounterNet:
                 for t in ts)
         return rows
 
-    @cached_property
-    def _reads(self) -> dict[str, frozenset[str]]:
-        """state -> the letters it has a transition on, built on first use."""
-        letters: dict[str, set[str]] = {}
-        for state, letter in self.step_table:
-            letters.setdefault(state, set()).add(letter)
-        return {q: frozenset(ls) for q, ls in letters.items()}
-
 
 class Config(NamedTuple):
     """One point of a run: a control state plus a counter valuation."""
@@ -377,10 +369,9 @@ class FrontierGraph:
             states = frozenset(frontier)
             derived = self._by_states.get(states)
             if derived is None:
-                by_state = self.net._reads
                 derived = self._by_states[states] = (
                     not self.net.accepting.isdisjoint(states),
-                    frozenset().union(*(by_state.get(q, ()) for q in states)))
+                    frozenset(x for x, rows in self.net._step_rows.items() if not states.isdisjoint(rows)))
             self.accepting.append(derived[0])
             self.reads.append(derived[1])
             self._succ.append({})

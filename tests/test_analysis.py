@@ -1,7 +1,9 @@
+import hashlib
 import random
 import tracemalloc
 from dataclasses import replace
 from itertools import islice, product as cartesian
+from math import inf
 from time import perf_counter
 
 import pytest
@@ -23,6 +25,7 @@ from counternet.analysis import (
     PumpableCycle,
     SearchCaps,
     SweepLimitError,
+    _graded_tuples,
     all_words,
     bounded_compare,
     check_decomposition,
@@ -680,6 +683,14 @@ def test_all_words_size_is_the_count(letters, max_len):
     assert all_words(letters, max_len).size() == sum(len(letters) ** n for n in range(max_len + 1))
 
 
+def test_a_count_is_exact_up_to_4300_digits():
+    # past 4,300 digits a count is told by its logarithm and never built
+    assert all_words("0123456789", 4299).size() == (10**4300 - 1) // 9
+    assert all_words("0123456789", 4300).size() == inf
+    assert paired_box(2149, 9).size() == 10**4298
+    assert paired_box(2150, 9).size() == inf
+
+
 @pytest.mark.parametrize("family, args", [
     ("words", ("ab", 3)), ("segmented", (2, 1)), ("segmented", (1, 2, 0, 1)),
     ("triple", (2,)), ("selector", (2, 1)), ("selector", (3, 1, 0)), ("paired", (2, 1)),
@@ -1240,3 +1251,255 @@ def test_refuter_guided_reports_a_search_cut_by_run_cap():
                                          caps=SearchCaps(run_cap=0))
     assert res.verdict == "exhausted"
     assert res.stats["reason"] == "run_cap cut the witness search"
+
+
+def test_graded_tuples_are_the_sorted_product():
+    for arity in range(1, 7):
+        for cap in range(6):
+            expected = sorted(cartesian(range(1, cap + 1), repeat=arity), key=lambda t: (sum(t), t))
+            assert list(_graded_tuples(arity, cap)) == expected
+
+
+def test_refuter_guided_memory_does_not_grow_with_the_pumped_word():
+    # P's first projection has period 60: the pumped word has 11,103 letters,
+    # and deciding it needs one frontier per factor at a time, not all of them
+    _, cc = build_coarse_factors()
+    tracemalloc.start()
+    try:
+        res = refute_partition_decomposition([project(build_partition_net(), 1), cc], "guided")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (res.verdict, len(res.word)) == ("counterexample", 11_103)
+    assert peak < 2 * 2**20
+
+
+def _guided_factor_sets():
+    cb, cc = build_coarse_factors()
+    p = build_partition_net()
+    _, b1, b2 = build_shared_budget()
+    return {
+        "coarse": [cb, cc],
+        "P-projections": [project(p, 1), project(p, 2)],
+        "fig1": [b1, b2],
+        "coarse.b": [cb],
+        "union-coarse": [union(cb, cb), cc],
+        "coarse.b-fig1.b2": [cb, b2],
+    }
+
+
+GUIDED_CAPS = {
+    "default": SearchCaps(),
+    "max_multiple=1": SearchCaps(max_multiple=1),
+    "max_multiple=3": SearchCaps(max_multiple=3),
+    "n_cap=0": SearchCaps(n_cap=0),
+    "n_cap=1": SearchCaps(n_cap=1),
+    "coefficient_cap=1,horizon=2": SearchCaps(coefficient_cap=1, horizon=2),
+    "run_cap=0": SearchCaps(run_cap=0),
+    "run_cap=1": SearchCaps(run_cap=1),
+}
+
+# (verdict, word length, the first 16 hex digits of the sha256 of the word's
+# space-joined letters, (segments, m_b, m_c), side, the stats in key order),
+# recorded while the guided refuter still sorted every witness tuple first
+# and decided each pumped word through a one-item check_decomposition
+GUIDED_GOLDEN = {
+    ("coarse", "default"):
+        ("counterexample", 141, "f780e6b053b55baa", ((42, 6, 6), 42, 42), "intersection-only",
+         [("period", 6), ("witness_words", 6), ("segment_1_pumps", (36, 36, 36)), ("n", 1),
+          ("segment", 1)]),
+    ("coarse", "max_multiple=1"):
+        ("counterexample", 141, "f780e6b053b55baa", ((42, 6, 6), 42, 42), "intersection-only",
+         [("period", 6), ("witness_words", 6), ("segment_1_pumps", (36, 36, 36)), ("n", 1),
+          ("segment", 1)]),
+    ("coarse", "max_multiple=3"):
+        ("counterexample", 141, "f780e6b053b55baa", ((42, 6, 6), 42, 42), "intersection-only",
+         [("period", 6), ("witness_words", 6), ("segment_1_pumps", (36, 36, 36)), ("n", 1),
+          ("segment", 1)]),
+    ("coarse", "n_cap=0"):
+        ("exhausted", None, None, None, None,
+         [("period", 6), ("witness_words", 6), ("segment_1_pumps", (36, 36, 36)),
+          ("segment_2_pumps", (36, 36, 36)), ("segment_3_pumps", (36, 36, 36)),
+          ("reason", "pumped words stayed inside the oracle language")]),
+    ("coarse", "n_cap=1"):
+        ("counterexample", 141, "f780e6b053b55baa", ((42, 6, 6), 42, 42), "intersection-only",
+         [("period", 6), ("witness_words", 6), ("segment_1_pumps", (36, 36, 36)), ("n", 1),
+          ("segment", 1)]),
+    ("coarse", "coefficient_cap=1,horizon=2"):
+        ("counterexample", 141, "f780e6b053b55baa", ((42, 6, 6), 42, 42), "intersection-only",
+         [("period", 6), ("witness_words", 6), ("segment_1_pumps", (36, 36, 36)), ("n", 1),
+          ("segment", 1)]),
+    ("coarse", "run_cap=0"):
+        ("exhausted", None, None, None, None,
+         [("period", 6), ("witness_words", 96), ("reason", "run_cap cut the witness search")]),
+    ("coarse", "run_cap=1"):
+        ("counterexample", 141, "f780e6b053b55baa", ((42, 6, 6), 42, 42), "intersection-only",
+         [("period", 6), ("witness_words", 6), ("segment_1_pumps", (36, 36, 36)), ("n", 1),
+          ("segment", 1)]),
+    ("P-projections", "default"):
+        ("counterexample", 11103, "ee5571bd9aede4f1", ((3660, 60, 60), 3660, 3660),
+         "intersection-only",
+         [("period", 60), ("witness_words", 6), ("segment_1_pumps", (3600, 3600, 3600)), ("n", 1),
+          ("segment", 1)]),
+    ("P-projections", "max_multiple=1"):
+        ("counterexample", 11103, "ee5571bd9aede4f1", ((3660, 60, 60), 3660, 3660),
+         "intersection-only",
+         [("period", 60), ("witness_words", 6), ("segment_1_pumps", (3600, 3600, 3600)), ("n", 1),
+          ("segment", 1)]),
+    ("P-projections", "max_multiple=3"):
+        ("counterexample", 11103, "ee5571bd9aede4f1", ((3660, 60, 60), 3660, 3660),
+         "intersection-only",
+         [("period", 60), ("witness_words", 6), ("segment_1_pumps", (3600, 3600, 3600)), ("n", 1),
+          ("segment", 1)]),
+    ("P-projections", "n_cap=0"):
+        ("exhausted", None, None, None, None,
+         [("period", 60), ("witness_words", 6), ("segment_1_pumps", (3600, 3600, 3600)),
+          ("segment_2_pumps", (3600, 3600, 3600)), ("segment_3_pumps", (3600, 3600, 3600)),
+          ("reason", "pumped words stayed inside the oracle language")]),
+    ("P-projections", "n_cap=1"):
+        ("counterexample", 11103, "ee5571bd9aede4f1", ((3660, 60, 60), 3660, 3660),
+         "intersection-only",
+         [("period", 60), ("witness_words", 6), ("segment_1_pumps", (3600, 3600, 3600)), ("n", 1),
+          ("segment", 1)]),
+    ("P-projections", "coefficient_cap=1,horizon=2"):
+        ("counterexample", 11103, "ee5571bd9aede4f1", ((3660, 60, 60), 3660, 3660),
+         "intersection-only",
+         [("period", 60), ("witness_words", 6), ("segment_1_pumps", (3600, 3600, 3600)), ("n", 1),
+          ("segment", 1)]),
+    ("P-projections", "run_cap=0"):
+        ("exhausted", None, None, None, None,
+         [("period", 60), ("witness_words", 96), ("reason", "run_cap cut the witness search")]),
+    ("P-projections", "run_cap=1"):
+        ("counterexample", 11163, "54b3c2a1a482e1cc", ((60, 3660, 60), 3660, 3720),
+         "intersection-only",
+         [("period", 60), ("witness_words", 38), ("segment_2_pumps", (3600, 3600, 3600)), ("n", 1),
+          ("segment", 2)]),
+    ("fig1", "default"):
+        ("exhausted", None, None, None, None,
+         [("period", 6), ("witness_words", 96), ("reason", "no segment is bad in every factor")]),
+    ("fig1", "max_multiple=1"):
+        ("exhausted", None, None, None, None,
+         [("period", 6), ("witness_words", 3), ("reason", "no segment is bad in every factor")]),
+    ("fig1", "max_multiple=3"):
+        ("exhausted", None, None, None, None,
+         [("period", 6), ("witness_words", 729), ("reason", "no segment is bad in every factor")]),
+    ("fig1", "n_cap=0"):
+        ("exhausted", None, None, None, None,
+         [("period", 6), ("witness_words", 96), ("reason", "no segment is bad in every factor")]),
+    ("fig1", "n_cap=1"):
+        ("exhausted", None, None, None, None,
+         [("period", 6), ("witness_words", 96), ("reason", "no segment is bad in every factor")]),
+    ("fig1", "coefficient_cap=1,horizon=2"):
+        ("exhausted", None, None, None, None,
+         [("period", 6), ("witness_words", 96), ("reason", "no segment is bad in every factor")]),
+    ("fig1", "run_cap=0"):
+        ("exhausted", None, None, None, None,
+         [("period", 6), ("witness_words", 96), ("reason", "no segment is bad in every factor")]),
+    ("fig1", "run_cap=1"):
+        ("exhausted", None, None, None, None,
+         [("period", 6), ("witness_words", 96), ("reason", "no segment is bad in every factor")]),
+    ("coarse.b", "default"):
+        ("counterexample", 44, "7598cb7398de3ad8", ((12, 6), 12, 12), "intersection-only",
+         [("period", 6), ("witness_words", 2), ("segment_1_pumps", (6, 6, 6)), ("n", 1),
+          ("segment", 1)]),
+    ("coarse.b", "max_multiple=1"):
+        ("counterexample", 44, "7598cb7398de3ad8", ((12, 6), 12, 12), "intersection-only",
+         [("period", 6), ("witness_words", 2), ("segment_1_pumps", (6, 6, 6)), ("n", 1),
+          ("segment", 1)]),
+    ("coarse.b", "max_multiple=3"):
+        ("counterexample", 44, "7598cb7398de3ad8", ((12, 6), 12, 12), "intersection-only",
+         [("period", 6), ("witness_words", 2), ("segment_1_pumps", (6, 6, 6)), ("n", 1),
+          ("segment", 1)]),
+    ("coarse.b", "n_cap=0"):
+        ("exhausted", None, None, None, None,
+         [("period", 6), ("witness_words", 2), ("segment_1_pumps", (6, 6, 6)),
+          ("segment_2_pumps", (6, 6, 6)),
+          ("reason", "pumped words stayed inside the oracle language")]),
+    ("coarse.b", "n_cap=1"):
+        ("counterexample", 44, "7598cb7398de3ad8", ((12, 6), 12, 12), "intersection-only",
+         [("period", 6), ("witness_words", 2), ("segment_1_pumps", (6, 6, 6)), ("n", 1),
+          ("segment", 1)]),
+    ("coarse.b", "coefficient_cap=1,horizon=2"):
+        ("counterexample", 44, "7598cb7398de3ad8", ((12, 6), 12, 12), "intersection-only",
+         [("period", 6), ("witness_words", 2), ("segment_1_pumps", (6, 6, 6)), ("n", 1),
+          ("segment", 1)]),
+    ("coarse.b", "run_cap=0"):
+        ("exhausted", None, None, None, None,
+         [("period", 6), ("witness_words", 32), ("reason", "run_cap cut the witness search")]),
+    ("coarse.b", "run_cap=1"):
+        ("counterexample", 44, "7598cb7398de3ad8", ((12, 6), 12, 12), "intersection-only",
+         [("period", 6), ("witness_words", 2), ("segment_1_pumps", (6, 6, 6)), ("n", 1),
+          ("segment", 1)]),
+    ("union-coarse", "default"):
+        ("counterexample", 11103, "ee5571bd9aede4f1", ((3660, 60, 60), 3660, 3660),
+         "intersection-only",
+         [("period", 60), ("witness_words", 6), ("segment_1_pumps", (3600, 3600, 3600)), ("n", 1),
+          ("segment", 1)]),
+    ("union-coarse", "max_multiple=1"):
+        ("counterexample", 11103, "ee5571bd9aede4f1", ((3660, 60, 60), 3660, 3660),
+         "intersection-only",
+         [("period", 60), ("witness_words", 6), ("segment_1_pumps", (3600, 3600, 3600)), ("n", 1),
+          ("segment", 1)]),
+    ("union-coarse", "max_multiple=3"):
+        ("counterexample", 11103, "ee5571bd9aede4f1", ((3660, 60, 60), 3660, 3660),
+         "intersection-only",
+         [("period", 60), ("witness_words", 6), ("segment_1_pumps", (3600, 3600, 3600)), ("n", 1),
+          ("segment", 1)]),
+    ("union-coarse", "n_cap=0"):
+        ("exhausted", None, None, None, None,
+         [("period", 60), ("witness_words", 6), ("segment_1_pumps", (3600, 3600, 3600)),
+          ("segment_2_pumps", (3600, 3600, 3600)), ("segment_3_pumps", (3600, 3600, 3600)),
+          ("reason", "pumped words stayed inside the oracle language")]),
+    ("union-coarse", "n_cap=1"):
+        ("counterexample", 11103, "ee5571bd9aede4f1", ((3660, 60, 60), 3660, 3660),
+         "intersection-only",
+         [("period", 60), ("witness_words", 6), ("segment_1_pumps", (3600, 3600, 3600)), ("n", 1),
+          ("segment", 1)]),
+    ("union-coarse", "coefficient_cap=1,horizon=2"):
+        ("counterexample", 11103, "ee5571bd9aede4f1", ((3660, 60, 60), 3660, 3660),
+         "intersection-only",
+         [("period", 60), ("witness_words", 6), ("segment_1_pumps", (3600, 3600, 3600)), ("n", 1),
+          ("segment", 1)]),
+    ("union-coarse", "run_cap=0"):
+        ("exhausted", None, None, None, None,
+         [("period", 60), ("witness_words", 96), ("reason", "run_cap cut the witness search")]),
+    ("union-coarse", "run_cap=1"):
+        ("counterexample", 11103, "ee5571bd9aede4f1", ((3660, 60, 60), 3660, 3660),
+         "intersection-only",
+         [("period", 60), ("witness_words", 6), ("segment_1_pumps", (3600, 3600, 3600)), ("n", 1),
+          ("segment", 1)]),
+    ("coarse.b-fig1.b2", "default"):
+        ("exhausted", None, None, None, None,
+         [("period", 6), ("witness_words", 99), ("reason", "no segment is bad in every factor")]),
+    ("coarse.b-fig1.b2", "max_multiple=1"):
+        ("exhausted", None, None, None, None,
+         [("period", 6), ("witness_words", 6), ("reason", "no segment is bad in every factor")]),
+    ("coarse.b-fig1.b2", "max_multiple=3"):
+        ("exhausted", None, None, None, None,
+         [("period", 6), ("witness_words", 732), ("reason", "no segment is bad in every factor")]),
+    ("coarse.b-fig1.b2", "n_cap=0"):
+        ("exhausted", None, None, None, None,
+         [("period", 6), ("witness_words", 99), ("reason", "no segment is bad in every factor")]),
+    ("coarse.b-fig1.b2", "n_cap=1"):
+        ("exhausted", None, None, None, None,
+         [("period", 6), ("witness_words", 99), ("reason", "no segment is bad in every factor")]),
+    ("coarse.b-fig1.b2", "coefficient_cap=1,horizon=2"):
+        ("exhausted", None, None, None, None,
+         [("period", 6), ("witness_words", 99), ("reason", "no segment is bad in every factor")]),
+    ("coarse.b-fig1.b2", "run_cap=0"):
+        ("exhausted", None, None, None, None,
+         [("period", 6), ("witness_words", 96), ("reason", "run_cap cut the witness search")]),
+    ("coarse.b-fig1.b2", "run_cap=1"):
+        ("exhausted", None, None, None, None,
+         [("period", 6), ("witness_words", 99), ("reason", "no segment is bad in every factor")]),
+}
+
+
+@pytest.mark.parametrize("factor_set, caps", list(GUIDED_GOLDEN))
+def test_refuter_guided_results_are_pinned(factor_set, caps):
+    res = refute_partition_decomposition(_guided_factor_sets()[factor_set], "guided", GUIDED_CAPS[caps])
+    digest = None if res.word is None else hashlib.sha256(" ".join(res.word).encode()).hexdigest()[:16]
+    params = None if res.params is None else (res.params.segments, res.params.m_b, res.params.m_c)
+    length = None if res.word is None else len(res.word)
+    got = (res.verdict, length, digest, params, res.side, list(res.stats.items()))
+    assert got == GUIDED_GOLDEN[factor_set, caps]

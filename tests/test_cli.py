@@ -616,6 +616,10 @@ def test_sweep_over_the_hard_cap_is_a_usage_error(capsys):
     # each, are built only when the box is swept, after its count is checked
     (["decompose-check", "zoo:P", "--segmented-box", "100000"], "10000600015000200001400004"),
     (["eq", "zoo:P", "zoo:P", "--box", "segmented:2,100000"], "100005000100000900003"),
+    # counts of about 4.77 million digits: told from their logarithms, never built
+    (["eq", "zoo:coarse.b", "zoo:coarse.c", "--box", "selector:10000000,2"], "about 10^4771220"),
+    (["eq", "zoo:H1", "zoo:H1", "--box", "paired:5000000,2"], "about 10^4771213"),
+    (["eq", "zoo:P", "zoo:P", "--box", "segmented:10000000,2"], "about 10^4771214"),
 ])
 def test_sweep_past_the_cap_is_refused_at_once(capsys, argv, held):
     started = perf_counter()
@@ -634,7 +638,12 @@ def test_sweep_past_the_cap_is_refused_at_once(capsys, argv, held):
     # 401 words, one segment count per length: t segments of no a's take t letters
     (["eq", "zoo:P", "zoo:P", "--box", "segmented:400,0"], 0,
      "equal (401 prefixes/words checked)\n", 1),
-], ids=["refute-p", "eq"])
+    # the guided refuter tries witness tuples in graded order as it makes
+    # them, not after listing and sorting all 16^5 of them
+    (["refute-p", "zoo:coarse.b", "zoo:coarse.c", "--strategy", "guided", "--max-multiple", "16"], 1,
+     "counterexample (intersection-only): 'a^42 # a^6 # a^6 # b^42 c^42' separates the factor"
+     " intersection from the partition language\n", 2),
+], ids=["refute-p", "eq", "guided"])
 def test_segmented_sweeps_try_only_the_segment_counts_that_fit(capsys, argv, rc, out, seconds):
     started = perf_counter()
     assert run(capsys, *argv) == (rc, out, "")
