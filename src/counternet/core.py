@@ -128,6 +128,14 @@ class RunEnumeration:
     truncated: bool
 
 
+def _collected_order(init, transitions, accept) -> tuple[str, ...]:
+    """The state order of a net that lists no states (a machine file without
+    a states line, a zoo builder): init states, then transition sources and
+    targets, then accept states, each where it first appears."""
+    return tuple(dict.fromkeys([*init, *(s for t in transitions for s in (t.source, t.target)),
+                                *accept]))
+
+
 def validate(net: CounterNet) -> CounterNet:
     """Return net unchanged, or raise InvalidNetError on the first problem."""
     if net.dimension < 0:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from itertools import groupby
 
-from .core import CounterNet, Transition, Word, validate
+from .core import CounterNet, Transition, Word, _collected_order, validate
 
 # the most letters parse_word expands a word to: tok^N costs memory for
 # N letters, which a short argument must not exhaust
@@ -102,14 +102,6 @@ def parse_machine_file(text: str) -> list[CounterNet]:
     if cur is not None:
         raise MachineFileError(cur["line"], "machine missing 'end'")
     return nets
-
-
-def _collected_order(init, transitions, accept) -> tuple[str, ...]:
-    """The state order of a block without a states line: init states, then
-    transition sources and targets, then accept states, each where it first
-    appears."""
-    return tuple(dict.fromkeys([*init, *(s for t in transitions for s in (t.source, t.target)),
-                                *accept]))
 
 
 def _assemble(cur: dict, line_no: int) -> CounterNet:

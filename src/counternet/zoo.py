@@ -16,9 +16,9 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .core import CounterNet, Transition, Word, validate
+from .core import CounterNet, Transition, Word, _collected_order, validate
 
 SEGMENT_ALPHABET = frozenset({"a", "b", "c", "#"})
 
@@ -154,8 +154,6 @@ def partition_oracle(w: SegmentedWord) -> bool:
     for m in w.segments:
         reachable |= reachable << m
     lo, hi = w.m_b, total - w.m_c
-    if lo > hi:
-        return False
     mask = ((1 << (hi - lo + 1)) - 1) << lo
     return bool(reachable & mask)
 
@@ -216,6 +214,17 @@ def partition_k_oracle_bruteforce(k: int, w: PartitionKWord) -> bool:
 # ---------------------------------------------------------------------------
 # machines
 
+def _net(name: str, initial: Sequence[str], accepting: Iterable[str],
+         transitions: Sequence[Transition]) -> CounterNet:
+    """The validated net of these transitions, its dimension, alphabet and
+    state order taken from them, the order as a machine file without a
+    states line collects it."""
+    states = _collected_order(initial, transitions, accepting)
+    alphabet = {t.letter for t in transitions}
+    return validate(CounterNet(name, len(transitions[0].effect), alphabet, states, initial, accepting,
+                               transitions))
+
+
 def build_partition_net() -> CounterNet:
     """2-counter net for the segmented partition language: each a-segment
     is banked on counter 1 or counter 2, b drains counter 1, c counter 2."""
@@ -234,23 +243,15 @@ def build_partition_net() -> CounterNet:
         T("drain_b", "c", (0, -1), "drain_c"),
         T("drain_c", "c", (0, -1), "drain_c"),
     )
-    return validate(CounterNet(
-        name="partition",
-        dimension=2,
-        alphabet=SEGMENT_ALPHABET,
-        states=("hub", "bank1", "bank2", "drain_b", "drain_c"),
-        initial=("hub",),
-        accepting=("hub", "drain_b", "drain_c"),
-        transitions=ts,
-    ))
+    return _net("partition", ("hub",), ("hub", "drain_b", "drain_c"), ts)
 
 
 def build_shared_budget() -> tuple[CounterNet, CounterNet, CounterNet]:
     """The a^m#b^n#c^k budget family: a 2-counter net for m >= n and
     m >= k, plus the two 1-counter factors checking each bound alone."""
 
-    def chain(name: str, ea: tuple[int, ...], eb: tuple[int, ...], ec: tuple[int, ...], dim: int) -> CounterNet:
-        zero = (0,) * dim
+    def chain(name: str, ea: tuple[int, ...], eb: tuple[int, ...], ec: tuple[int, ...]) -> CounterNet:
+        zero = (0,) * len(ea)
         T = Transition
         ts = (
             T("q0", "a", ea, "q0"),
@@ -259,19 +260,11 @@ def build_shared_budget() -> tuple[CounterNet, CounterNet, CounterNet]:
             T("q1", "#", zero, "q2"),
             T("q2", "c", ec, "q2"),
         )
-        return validate(CounterNet(
-            name=name,
-            dimension=dim,
-            alphabet=SEGMENT_ALPHABET,
-            states=("q0", "q1", "q2"),
-            initial=("q0",),
-            accepting=("q2",),
-            transitions=ts,
-        ))
+        return _net(name, ("q0",), ("q2",), ts)
 
-    main = chain("budget", (1, 1), (-1, 0), (0, -1), 2)
-    factor_b = chain("budget_b", (1,), (-1,), (0,), 1)
-    factor_c = chain("budget_c", (1,), (0,), (-1,), 1)
+    main = chain("budget", (1, 1), (-1, 0), (0, -1))
+    factor_b = chain("budget_b", (1,), (-1,), (0,))
+    factor_c = chain("budget_c", (1,), (0,), (-1,))
     return main, factor_b, factor_c
 
 
@@ -293,15 +286,7 @@ def build_coarse_factors() -> tuple[CounterNet, CounterNet]:
             T("seg", "c", (ec,), "cs"),
             T("cs", "c", (ec,), "cs"),
         )
-        return validate(CounterNet(
-            name=name,
-            dimension=1,
-            alphabet=SEGMENT_ALPHABET,
-            states=("seg", "bs", "cs"),
-            initial=("seg",),
-            accepting=("seg", "bs", "cs"),
-            transitions=ts,
-        ))
+        return _net(name, ("seg",), ("seg", "bs", "cs"), ts)
 
     return total_checker("coarse_b", -1, 0), total_checker("coarse_c", 0, -1)
 
@@ -313,7 +298,6 @@ def build_selector_dcn(k: int) -> CounterNet:
         raise ValueError("k must be >= 1")
     zero = (0,) * k
     unit = lambda i: tuple(1 if j == i else 0 for j in range(k))
-    states = [f"blk{j}" for j in range(1, k + 1)] + [f"sel{i}" for i in range(1, k + 1)]
     ts: list[Transition] = []
     for j in range(1, k + 1):
         for l in range(j, k + 1):
@@ -322,16 +306,7 @@ def build_selector_dcn(k: int) -> CounterNet:
             ts.append(Transition(f"blk{j}", f"b_{i}", zero, f"sel{i}"))
     for i in range(1, k + 1):
         ts.append(Transition(f"sel{i}", "c", tuple(-1 if j == i - 1 else 0 for j in range(k)), f"sel{i}"))
-    alphabet = {f"a_{i}" for i in range(1, k + 1)} | {f"b_{i}" for i in range(1, k + 1)} | {"c"}
-    return validate(CounterNet(
-        name=f"selector_dcn_{k}",
-        dimension=k,
-        alphabet=alphabet,
-        states=tuple(states),
-        initial=("blk1",),
-        accepting=tuple(f"sel{i}" for i in range(1, k + 1)),
-        transitions=tuple(ts),
-    ))
+    return _net(f"selector_dcn_{k}", ("blk1",), [f"sel{i}" for i in range(1, k + 1)], ts)
 
 
 def build_selector_ncn(k: int) -> CounterNet:
@@ -349,6 +324,9 @@ def build_selector_ncn(k: int) -> CounterNet:
             ts.append(Transition(f"g{i}_blk{j}", f"b_{i}", (0,), "drain"))
     ts.append(Transition("drain", "c", (-1,), "drain"))
     alphabet = {f"a_{i}" for i in range(1, k + 1)} | {f"b_{i}" for i in range(1, k + 1)} | {"c"}
+    # not _net: the states are guess-major (g1_blk1 ... g1_blkk, g2_blk1 ...),
+    # where the collected order would put each guess's first block first, and
+    # state order is output (emitted files, the order runs are enumerated in)
     return validate(CounterNet(
         name=f"selector_ncn_{k}",
         dimension=1,
@@ -367,7 +345,6 @@ def build_paired_dcn(k: int) -> CounterNet:
     if k < 1:
         raise ValueError("k must be >= 1")
     unit = lambda i, sign: tuple(sign if j == i else 0 for j in range(k))
-    states = [f"sup{j}" for j in range(1, k + 1)] + [f"dem{j}" for j in range(1, k + 1)]
     ts: list[Transition] = []
     for j in range(1, k + 1):
         for l in range(j, k + 1):
@@ -377,16 +354,7 @@ def build_paired_dcn(k: int) -> CounterNet:
     for j in range(1, k + 1):
         for l in range(j, k + 1):
             ts.append(Transition(f"dem{j}", f"b_{l}", unit(l - 1, -1), f"dem{l}"))
-    alphabet = {f"a_{i}" for i in range(1, k + 1)} | {f"b_{i}" for i in range(1, k + 1)}
-    return validate(CounterNet(
-        name=f"paired_dcn_{k}",
-        dimension=k,
-        alphabet=alphabet,
-        states=tuple(states),
-        initial=("sup1",),
-        accepting=tuple(states),
-        transitions=tuple(ts),
-    ))
+    return _net(f"paired_dcn_{k}", ("sup1",), {t.source for t in ts}, ts)
 
 
 def build_partition_k(k: int) -> CounterNet:
@@ -398,7 +366,6 @@ def build_partition_k(k: int) -> CounterNet:
         raise ValueError("k must be >= 1")
     unit = lambda i, sign: tuple(sign if j == i else 0 for j in range(k))
     zero = (0,) * k
-    states = ["hub"] + [f"bank{i}" for i in range(1, k + 1)] + [f"blk{i}" for i in range(1, k + 1)]
     ts: list[Transition] = []
     for i in range(1, k + 1):
         ts.append(Transition("hub", "a", unit(i - 1, 1), f"bank{i}"))
@@ -412,17 +379,8 @@ def build_partition_k(k: int) -> CounterNet:
         ts.append(Transition(f"blk{i}", f"b_{i}", unit(i - 1, -1), f"blk{i}"))
         if i < k:
             ts.append(Transition(f"blk{i}", "#", zero, f"blk{i+1}"))
-    alphabet = {"a", "#"} | {f"b_{i}" for i in range(1, k + 1)}
     accepting = (f"blk{k}",) if k >= 2 else ("hub", "blk1")
-    return validate(CounterNet(
-        name=f"partition_{k}",
-        dimension=k,
-        alphabet=alphabet,
-        states=tuple(states),
-        initial=("hub",),
-        accepting=accepting,
-        transitions=tuple(ts),
-    ))
+    return _net(f"partition_{k}", ("hub",), accepting, ts)
 
 
 # ---------------------------------------------------------------------------
