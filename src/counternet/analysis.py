@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import asdict, dataclass
 from functools import partial
 from operator import sub
@@ -32,6 +33,7 @@ from .core import (
 )
 from . import zoo
 from .constructions import product_all, trim
+from .fileformat import WORD_BUDGET
 from .zoo import (
     PairedBlockWord,
     SegmentedWord,
@@ -430,6 +432,11 @@ def grow_word(word: SegmentedWord, segment: int, dx: int, dy: int, dz: int) -> S
     return SegmentedWord(tuple(segs), word.m_b + dy, word.m_c + dz)
 
 
+def _letters(w: SegmentedWord) -> int:
+    """The length of render_segmented(w), without rendering it."""
+    return sum(w.segments) + len(w.segments) + w.m_b + w.m_c
+
+
 def find_pump_family(
     net: CounterNet,
     witness: BadSegmentWitness,
@@ -437,13 +444,20 @@ def find_pump_family(
 ) -> Optional[PumpFamily]:
     """Search pump coefficients for a witness, fixing z to one period
     first, then raising y, then x, and membership-checking every candidate
-    family up to the horizon."""
-    period = witness.period
-    for zc, yc, xc in itertools.product(range(1, caps.coefficient_cap + 1), repeat=3):
+    family up to the horizon.  Raises SweepLimitError before checking a
+    family whose words up to the horizon hold more than WORD_BUDGET letters."""
+    period, h = witness.period, caps.horizon
+    coefficients = range(1, caps.coefficient_cap + 1)
+    # made as they are tried: itertools.product would list its ranges first
+    for zc, yc, xc in ((z, y, x) for z in coefficients for y in coefficients for x in coefficients):
         x, y, z = xc * period, yc * period, zc * period
+        # the word at n is n (x + y + z) letters longer than the witness word
+        if h * _letters(witness.word) + (x + y + z) * h * (h + 1) // 2 > WORD_BUDGET:
+            raise SweepLimitError(f"pump family checks up to horizon {h} pass the budget of "
+                                  f"{WORD_BUDGET} letters")
         if all(accepts(net, render_segmented(grow_word(witness.word, witness.segment, x * n, y * n, z * n)))
-               for n in range(1, caps.horizon + 1)):
-            return PumpFamily(witness, x, y, z, caps.horizon)
+               for n in range(1, h + 1)):
+            return PumpFamily(witness, x, y, z, h)
     return None
 
 
@@ -489,7 +503,16 @@ def _log10_geometric(base: int, top: int) -> float:
     """log10 of _geometric(base, top), leaving out the - 1 of its numerator."""
     if base < 2:
         return math.log10(_geometric(base, top))
-    return (top + 1) * math.log10(base) - math.log10(base - 1)
+    return _log10_power(base, top + 1) - math.log10(base - 1)
+
+
+def _log10_power(base: int, exponent: int) -> float:
+    """log10(base ** exponent) for base >= 1, without the power: math.inf
+    when base > 1 meets an exponent past the floats, a count of more than
+    10^(10^307)."""
+    if base == 1:
+        return 0.0
+    return exponent * math.log10(base) if exponent <= sys.float_info.max else math.inf
 
 
 # Python refuses to print an integer of more than 4,300 digits, and one of
@@ -606,7 +629,7 @@ def selector_box(k: int, block_max: int, tail_max: Optional[int] = None) -> Word
                 for tail in range(tail_max + 1):
                     yield GenItem(head_b + cs[tail], SelectorWord(blocks, choice, tail))
 
-    return WordBox(k * math.log10(block_max + 1) + math.log10(k * (tail_max + 1)),
+    return WordBox(_log10_power(block_max + 1, k) + math.log10(k * (tail_max + 1)),
                    lambda: (block_max + 1) ** k * k * (tail_max + 1), items)
 
 
@@ -615,6 +638,8 @@ def paired_box(k: int, cap: int) -> WordBox:
     _nonnegative(k=k, cap=cap)
 
     def items() -> Iterator[GenItem]:
+        if 2 * k > WORD_BUDGET:  # every word holds 2k counts, even at cap 0, where the box is one word
+            raise SweepLimitError(f"paired words of k = {k} hold more than {WORD_BUDGET} counts")
         counts = list(itertools.product(range(cap + 1), repeat=k))
 
         def half(letter: str) -> list[Word]:  # the rendered half for each count tuple
@@ -626,7 +651,7 @@ def paired_box(k: int, cap: int) -> WordBox:
             for demands, demand in zip(counts, demand_half):
                 yield GenItem(supply + demand, PairedBlockWord(supplies, demands))
 
-    return WordBox(2 * k * math.log10(cap + 1), lambda: (cap + 1) ** (2 * k), items)
+    return WordBox(_log10_power(cap + 1, 2 * k), lambda: (cap + 1) ** (2 * k), items)
 
 
 # The word box families by name, each with the argument counts its
@@ -698,7 +723,8 @@ def bounded_compare(
             return compare_nets_walk(a, b, generator.max_len)
     size = generator.size() if hasattr(generator, "size") else 0
     if size > hard_cap:
-        held = size if size < 10**_DIGITS else f"about 10^{generator.log10:.0f}"
+        held = (size if size < 10**_DIGITS else f"about 10^{generator.log10:.0f}"
+                if generator.log10 < math.inf else "more than 10^(10^307)")
         raise SweepLimitError(f"generator holds {held} words, cap is {hard_cap}")
     decide_left, decide_right = (_side_decider(s, lambda net: FrontierGraph(net).accepts) for s in (left, right))
     checked = 0
@@ -854,10 +880,12 @@ def _refute_guided(given: Sequence[CounterNet], k: int, caps: SearchCaps) -> Ref
         else:
             witnesses[segment] = per_factor
 
+    pumped = False  # some segment has a pump family in every factor
     for segment, per_factor in witnesses.items():
         families = [find_pump_family(f, w, caps) for f, w in zip(factors, per_factor)]
         if None in families:
             continue
+        pumped = True
         # base word: componentwise maximum of the witness words
         t_segments = tuple(
             max(fam.witness.word.segments[i] for fam in families) for i in range(t))
@@ -872,6 +900,9 @@ def _refute_guided(given: Sequence[CounterNet], k: int, caps: SearchCaps) -> Ref
         stats[f"segment_{segment}_pumps"] = (gx, gy, gz)
         for n in range(1, caps.n_cap + 1):
             sw = grow_word(base, segment, gx * n, gy * n, gz * n)
+            if _letters(sw) > WORD_BUDGET:
+                raise SweepLimitError(f"the pumped word at n = {n} passes the budget of "
+                                      f"{WORD_BUDGET} letters")
             # a lone word has no prefix for a FrontierGraph to share: plain accepts, factors as given
             word = render_segmented(sw)
             if not partition_oracle(sw) and all(accepts(f, word) for f in given):
@@ -879,6 +910,7 @@ def _refute_guided(given: Sequence[CounterNet], k: int, caps: SearchCaps) -> Ref
                 stats["segment"] = segment
                 return RefuterResult("counterexample", word, sw, "intersection-only", stats)
     stats["reason"] = ("run_cap cut the witness search" if cut
-                       else "pumped words stayed inside the oracle language" if witnesses
+                       else "pumped words stayed inside the oracle language" if pumped
+                       else "no pump family holds within the caps" if witnesses
                        else "no segment is bad in every factor")
     return RefuterResult("exhausted", None, None, None, stats)

@@ -30,7 +30,15 @@ class EnumerationCapError(RuntimeError):
 
 
 class SweepLimitError(RuntimeError):
-    """A word generator was refused because its size exceeds the hard cap."""
+    """A word generator or search was refused because its size exceeds its
+    cap or letter budget."""
+
+
+# the most letters of prefixes one FrontierGraph.words call visits:
+# verify_pipeline then holds about 120 bytes per labelled letter (CPython
+# 3.11, x86-64), so `vasify zoo:Hk --k 1 --report --max-len 260`, just
+# under it, peaks at 330 MB
+_WORDS_BUDGET = 3 * 10**6
 
 
 @dataclass(frozen=True)
@@ -408,15 +416,21 @@ class FrontierGraph:
         the graph's live edges: a frontier is extended only by the letters
         it reads whose successor frontier is not empty.  Each frontier's
         live edges are listed once per call, in sorted letter order, and
-        kept only for the call."""
+        kept only for the call.  Raises SweepLimitError once the prefixes
+        visited hold more than _WORDS_BUDGET letters."""
         if max_len < 0:
             raise ValueError(f"word length bound must be >= 0, got {max_len}")
         letters = sorted(self.net.alphabet)
         live: dict[int, list[tuple[str, int]]] = {}
         found: set[Word] = set()
         stack: list[tuple[int, Word]] = [(0, ())]
+        visited = 0  # letters of the prefixes popped so far
         while stack:
             i, word = stack.pop()
+            visited += len(word)
+            if visited > _WORDS_BUDGET:
+                raise SweepLimitError(f"the words up to length {max_len} pass the budget of "
+                                      f"{_WORDS_BUDGET} letters")
             if self.accepting[i]:
                 found.add(word)
             if len(word) < max_len:

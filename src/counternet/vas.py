@@ -163,9 +163,10 @@ def triplet_transform(word: Word, stop: int = 3) -> Word:
     if not 1 <= stop <= 3:
         raise ValueError("stop must be 1, 2 or 3")
     out: list[str] = []
+    phases: dict[str, tuple[str, str, str]] = {}  # one string per phase letter, not per position
     for pos, letter in enumerate(word):
-        phases = 3 if pos < len(word) - 1 else stop
-        out.extend(f"{letter}_{p}" for p in range(1, phases + 1))
+        trio = phases.get(letter) or phases.setdefault(letter, (f"{letter}_1", f"{letter}_2", f"{letter}_3"))
+        out.extend(trio if pos < len(word) - 1 else trio[:stop])
     return tuple(out)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Collection, Optional, Sequence
 
 from .core import CounterNet, Transition, Word, _collected_order, validate
 
@@ -214,7 +214,7 @@ def partition_k_oracle_bruteforce(k: int, w: PartitionKWord) -> bool:
 # ---------------------------------------------------------------------------
 # machines
 
-def _net(name: str, initial: Sequence[str], accepting: Iterable[str],
+def _net(name: str, initial: Sequence[str], accepting: Collection[str],
          transitions: Sequence[Transition]) -> CounterNet:
     """The validated net of these transitions, its dimension, alphabet and
     state order taken from them, the order as a machine file without a
@@ -325,8 +325,9 @@ def build_selector_ncn(k: int) -> CounterNet:
     ts.append(Transition("drain", "c", (-1,), "drain"))
     alphabet = {f"a_{i}" for i in range(1, k + 1)} | {f"b_{i}" for i in range(1, k + 1)} | {"c"}
     # not _net: the states are guess-major (g1_blk1 ... g1_blkk, g2_blk1 ...),
-    # where the collected order would put each guess's first block first, and
-    # state order is output (emitted files, the order runs are enumerated in)
+    # where the collected order would put the k initial states g1_blk1 ...
+    # gk_blk1 first, and state order is output (emitted files, the order runs
+    # are enumerated in)
     return validate(CounterNet(
         name=f"selector_ncn_{k}",
         dimension=1,

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from counternet import analysis
 from counternet.analysis import (
     FORM_ALL_NONNEGATIVE,
     FORM_B_POSITIVE,
@@ -1503,3 +1504,51 @@ def test_refuter_guided_results_are_pinned(factor_set, caps):
     length = None if res.word is None else len(res.word)
     got = (res.verdict, length, digest, params, res.side, list(res.stats.items()))
     assert got == GUIDED_GOLDEN[factor_set, caps]
+
+
+# --- budgets for large integer arguments ----------------------------------
+
+def test_boxes_past_the_floats_size_to_infinity():
+    huge = 10**309
+    for box in (segmented_box(huge, 2), selector_box(huge, 1), paired_box(huge, 1), all_words("ab", huge)):
+        assert box.log10 == inf and box.size() == inf
+    # a base of one keeps the count exact, however large its exponent
+    assert selector_box(huge, 0, 0).size() == huge
+    assert paired_box(huge, 0).size() == 1
+    with pytest.raises(SweepLimitError, match=r"generator holds more than 10\^\(10\^307\) words"):
+        bounded_compare(build_partition_net(), partition_oracle, segmented_box(huge, 2))
+
+
+def test_find_pump_family_tries_coefficients_in_order_and_lazily(monkeypatch):
+    cb, _ = build_coarse_factors()
+    witness = find_bad_segment_witness(cb, 1, 3, 6).witness
+    family = find_pump_family(cb, witness)
+    assert find_pump_family(cb, witness, SearchCaps(coefficient_cap=10**400)) == family
+    # with every word rejected, the first word of each candidate shows its order: z, then y, then x
+    tried = []
+
+    def grow(word, segment, dx, dy, dz):
+        tried.append((dx, dy, dz))
+        return grow_word(word, segment, dx, dy, dz)
+
+    monkeypatch.setattr(analysis, "accepts", lambda net, word: False)
+    monkeypatch.setattr(analysis, "grow_word", grow)
+    assert find_pump_family(cb, witness, SearchCaps(coefficient_cap=3)) is None
+    assert tried == [(6 * x, 6 * y, 6 * z) for z, y, x in cartesian(range(1, 4), repeat=3)]
+
+
+def test_pumping_past_the_word_budget_is_refused():
+    cb, cc = build_coarse_factors()
+    witness = find_bad_segment_witness(cb, 1, 3, 6).witness
+    with pytest.raises(SweepLimitError, match="pump family checks up to horizon 1000000 pass the budget"):
+        find_pump_family(cb, witness, SearchCaps(horizon=10**6))
+    # period 60 over four factors: the word at n = 1 alone has more than 3 * 60^4 letters
+    first = project(build_partition_net(), 1)
+    with pytest.raises(SweepLimitError, match="the pumped word at n = 1 passes the budget of 10000000 letters"):
+        refute_partition_decomposition([cb, cc, first, first], "guided")
+
+
+def test_refuter_guided_says_when_no_pump_family_holds():
+    res = refute_partition_decomposition(list(build_coarse_factors()), "guided", SearchCaps(coefficient_cap=0))
+    assert res.verdict == "exhausted"
+    assert res.stats["reason"] == "no pump family holds within the caps"

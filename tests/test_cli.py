@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -620,6 +621,11 @@ def test_sweep_over_the_hard_cap_is_a_usage_error(capsys):
     (["eq", "zoo:coarse.b", "zoo:coarse.c", "--box", "selector:10000000,2"], "about 10^4771220"),
     (["eq", "zoo:H1", "zoo:H1", "--box", "paired:5000000,2"], "about 10^4771213"),
     (["eq", "zoo:P", "zoo:P", "--box", "segmented:10000000,2"], "about 10^4771214"),
+    # a parameter past the floats: the count's logarithm is no float either
+    (["eq", "zoo:P", "zoo:P", "--box", f"segmented:{10**309},2"], "more than 10^(10^307)"),
+    (["eq", "zoo:H1", "zoo:H1", "--box", f"paired:{10**309},1"], "more than 10^(10^307)"),
+    (["eq", "zoo:coarse.b", "zoo:coarse.c", "--box", f"selector:{10**309},1"], "more than 10^(10^307)"),
+    (["decompose-check", "zoo:P", "--max-len", str(10**400)], "more than 10^(10^307)"),
 ])
 def test_sweep_past_the_cap_is_refused_at_once(capsys, argv, held):
     started = perf_counter()
@@ -758,3 +764,68 @@ def test_each_command_loads_only_the_modules_it_uses(tmp_path, argv, code, heavy
     assert proc.returncode == code, proc.stderr
     loaded = set(proc.stdout.splitlines()[-1].split()[1:])
     assert {"counternet.analysis", "counternet.vas"} & loaded == {f"counternet.{m}" for m in heavy}
+
+
+# --- budgets for large integer arguments -------------------------------------------------------
+
+_DEFAULT_GUIDED = ("counterexample (intersection-only): 'a^42 # a^6 # a^6 # b^42 c^42' separates the"
+                   " factor intersection from the partition language\n")
+
+
+@pytest.mark.parametrize("cap", ["1000000", str(10**400)], ids=["10^6", "10^400"])
+def test_guided_coefficient_cap_costs_nothing_up_front(capsys, cap):
+    # coefficient triples are made as they are tried, z then y then x, not listed first
+    tracemalloc.start()
+    try:
+        got = run(capsys, "refute-p", "zoo:coarse.b", "zoo:coarse.c", "--strategy", "guided",
+                  "--coefficient-cap", cap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == (1, _DEFAULT_GUIDED, "")
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("horizon", ["1000000", str(10**400)], ids=["10^6", "10^400"])
+def test_guided_horizon_past_the_word_budget_is_refused(capsys, horizon):
+    started = perf_counter()
+    rc, out, err = run(capsys, "refute-p", "zoo:coarse.b", "zoo:coarse.c", "--strategy", "guided",
+                       "--horizon", horizon)
+    assert perf_counter() - started < 1
+    assert rc == 2 and out == ""
+    assert err == (f"error: pump family checks up to horizon {horizon} pass the budget of "
+                   f"{fileformat.WORD_BUDGET} letters\n")
+
+
+@pytest.mark.parametrize("argv, out", [
+    # no coefficient is tried, so no pumped word is built either
+    (["--strategy", "guided", "--coefficient-cap", "0"],
+     "exhausted: {'period': 6, 'witness_words': 6, 'reason': 'no pump family holds within the caps'}\n"),
+    # the four words without an a, all in the partition language
+    (["--param-box", "0"], "exhausted: {'checked': 4}\n"),
+], ids=["guided", "enumerate"])
+def test_refute_p_prints_exhausted_searches(capsys, argv, out):
+    assert run(capsys, "refute-p", "zoo:coarse.b", "zoo:coarse.c", *argv) == (1, out, "")
+
+
+def test_vasify_report_past_the_words_budget_is_refused(capsys):
+    # Hk(1) has about 10.7 million letters of labelled words up to length 400
+    started = perf_counter()
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "vasify", "zoo:Hk", "--k", "1", "--report", "--max-len", "400")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert perf_counter() - started < 5
+    assert rc == 2 and out == ""
+    assert err == "error: the words up to length 400 pass the budget of 3000000 letters\n"
+    assert peak < 100 * 2**20
+
+
+def test_paired_box_of_too_many_counts_is_refused(capsys):
+    # at cap 0 the box holds one word, whatever k, so its count does not refuse it
+    rc, out, err = run(capsys, "eq", "zoo:H1", "zoo:H1", "--box", f"paired:{10**309},0")
+    assert rc == 2 and out == ""
+    assert err == (f"error: paired words of k = {10**309} hold more than {fileformat.WORD_BUDGET}"
+                   " counts\n")

@@ -11,6 +11,7 @@ import json
 import random
 from dataclasses import replace
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -186,3 +187,42 @@ def test_mutated_machine_files_keep_the_contract(tmp_path, capsys):
             _emitted(Path(out).read_text(encoding="utf-8"),
                      [constructions.lift(n, 3) for n in parse_machine_file(text)])
     assert codes == {0, 1, 2}
+
+
+# Every integer flag and box argument, with X where the extreme goes; the
+# rest of each command keeps the case quick (eq compares two nets that
+# differ on a one-letter word, so a long --max-len walk stops at once).
+_INTEGER_ARGUMENTS = [
+    ["--seed", "X", "check", "zoo:P", "--word", "a"],
+    ["--k", "X", "zoo", "Lk"],
+    ["check", "zoo:Hk", "--k", "X", "--word", "a_1"],
+    ["check", "zoo:P", "--word", "a^X"],
+    ["check", "zoo:P", "--word", "b", "--initial", "X,X"],
+    ["eq", "zoo:coarse.b", "zoo:coarse.c", "--max-len", "X"],
+    ["eq", "zoo:coarse.b", "zoo:coarse.c", "--segmented-box", "X"],
+    *(["eq", "zoo:coarse.b", "zoo:coarse.c", "--box", box] for box in (
+        "words:X", "segmented:X,1", "segmented:X,0", "segmented:1,X", "segmented:0,X",
+        "segmented:1,1,X,1", "segmented:1,1,1,X", "triple:X", "selector:X,1", "selector:X,0,0",
+        "selector:1,X", "selector:1,0,X", "paired:X,1", "paired:X,0", "paired:1,X", "paired:0,X")),
+    ["decompose-check", "zoo:P", "--max-len", "X"],
+    ["decompose-check", "zoo:P", "zoo:P", "--segmented-box", "X"],
+    ["project", "zoo:P", "--counter", "X"],
+    ["lift", "zoo:P", "--dim", "X"],
+    ["lift", "zoo:coarse.b", "--dim", "2", "--placement", "X"],
+    ["vasify", "zoo:Hk", "--k", "1", "--report", "--max-len", "X"],
+    ["refute-p", "zoo:coarse.b", "zoo:coarse.c", "--param-box", "X"],
+    *(["refute-p", "zoo:coarse.b", "zoo:coarse.c", "--strategy", "guided", f"--{cap}", "X"]
+      for cap in ("max-multiple", "run-cap", "coefficient-cap", "horizon", "n-cap")),
+    ["pump", "zoo:coarse.b", "--word", "a^6 # b^3", "--segment", "1", "--sign", "pos", "--times", "X"],
+    ["pump", "zoo:coarse.b", "--word", "a^6 # b^3", "--segment", "X"],
+]
+
+
+@pytest.mark.parametrize("template", _INTEGER_ARGUMENTS, ids=" ".join)
+def test_integer_extremes_keep_the_contract(capsys, template):
+    for value in ("0", "1", str(10**309), str(10**400)):
+        argv = [arg.replace("X", value) for arg in template]
+        for args in (argv, ["--json", *argv]):
+            started = perf_counter()
+            _run(capsys, args)
+            assert perf_counter() - started < 1, args

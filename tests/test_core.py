@@ -12,6 +12,7 @@ from counternet.core import (
     EnumerationCapError,
     FrontierGraph,
     InvalidNetError,
+    SweepLimitError,
     Transition,
     _maximal,
     accepts,
@@ -731,3 +732,13 @@ def test_is_valid_n_run_rejects_foreign_transition():
     run = replay("p", (0,), net.transitions)
     fake = run.__class__(run.configs, (other,))
     assert not is_valid_n_run(net, fake, (0,))
+
+
+def test_frontier_graph_words_past_the_budget_are_refused():
+    # every word over {a, b} is accepted: 2^21 of them up to length 20, 39.8 million letters
+    loop = validate(CounterNet(
+        name="loop", dimension=0, alphabet=frozenset("ab"), states=("q",), initial=("q",),
+        accepting=("q",), transitions=(Transition("q", "a", (), "q"), Transition("q", "b", (), "q"))))
+    assert len(FrontierGraph(loop).words(12)) == 2**13 - 1
+    with pytest.raises(SweepLimitError, match="the words up to length 20 pass the budget of 3000000 letters"):
+        FrontierGraph(loop).words(20)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from counternet.analysis import all_words
-from counternet.core import CounterNet, FrontierGraph, Transition, accepts, validate
+from counternet.core import CounterNet, FrontierGraph, SweepLimitError, Transition, accepts, validate
 from counternet.vas import (
     GatingViolation,
     PipelineReport,
@@ -395,3 +395,15 @@ def test_pipeline_report_at_the_defaults_is_pinned(net, extra_count, extras, sta
         gating_violations=0,
         stats=stats,
     )
+
+
+def test_triplet_transform_makes_each_phase_letter_once():
+    # one string per phase letter, however often the letter repeats
+    w = triplet_transform(("x", "y", "x", "x"), stop=2)
+    assert w == ("x_1", "x_2", "x_3", "y_1", "y_2", "y_3", "x_1", "x_2", "x_3", "x_1", "x_2")
+    assert w[0] is w[6] is w[9] and w[1] is w[7] is w[10]
+
+
+def test_verify_pipeline_past_the_words_budget_is_refused():
+    with pytest.raises(SweepLimitError, match="the words up to length 400 pass the budget"):
+        verify_pipeline(build_paired_dcn(1), max_len=400)

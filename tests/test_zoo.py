@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import strategies as st
 
 from counternet.analysis import bounded_compare, paired_box, segmented_box, selector_box
 from counternet.core import accepts, is_deterministic
+from counternet.fileformat import emit_machine_file, parse_machine_file
 from counternet.zoo import (
+    FAMILIES,
     PairedBlockWord,
     PartitionKWord,
     SEGMENT_ALPHABET,
@@ -374,3 +377,29 @@ def test_partition_net_matches_oracle_small_box():
     rep = bounded_compare(build_partition_net(), partition_oracle, segmented_box(2, 3))
     assert rep.verdict == "equal"
     assert rep.checked == (1 + 4 + 16) * 16
+
+
+# --- the builders' nets, pinned -----------------------------------------
+
+# the first 16 hex digits of the sha256 of emit_machine_file over each
+# family's members, recorded while the builders still listed their
+# dimension, alphabet and states by hand
+EMITTED = {
+    "P": "284b22f4e1e7a743",
+    "fig1": "221ca283149bf2e6",
+    "Lk": ("354dacc8bfee1c15", "fa07a001a38b1480", "b86d30340107b6e5", "1a2249a4f4fd4472"),
+    "Hk": ("a4bd0e41332c64d0", "7a46994fd3ab4ee0", "a01ce78e41fcd22b", "d4ba6c25be2b92ed"),
+    "PkConj": ("706da993c58d28e5", "d6a72acdaa68963e", "bafb05d5b688e5d1", "64da0e49c0cddcd1"),
+    "coarse": "12f45a81e4946644",
+}
+
+
+@pytest.mark.parametrize("family, k", [(f, k) for f in FAMILIES for k in range(1, 5)])
+def test_family_nets_are_pinned_and_round_trip(family, k):
+    nets = list(FAMILIES[family](k).values())
+    text = emit_machine_file(nets)
+    digests = EMITTED[family]
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == (
+        digests if isinstance(digests, str) else digests[k - 1])
+    for net in nets:
+        assert parse_machine_file(emit_machine_file([net])) == [net]
