@@ -747,7 +747,9 @@ def compare_nets_walk(a: CounterNet, b: CounterNet, max_len: int, node_cap: int 
     breadth-first walk over pairs of frontier ids, one FrontierGraph per net.
 
     Two prefixes with the same frontier pair behave identically ever
-    after, so each pair is expanded once, from its shortest prefix.
+    after, so each pair is expanded once, from its shortest prefix.  A
+    queued node is (ia, ib, parent node, last letter); its prefix is
+    spelled out only for a mismatch.
     """
     if max_len < 0:
         raise ValueError(f"word length bound must be >= 0, got {max_len}")
@@ -756,21 +758,26 @@ def compare_nets_walk(a: CounterNet, b: CounterNet, max_len: int, node_cap: int 
     letters = sorted(a.alphabet)
     ga, gb = FrontierGraph(a), FrontierGraph(b)
     seen = {(0, 0)}
-    queue = [(0, 0, ())]
-    checked = 0
+    queue = [(0, 0, None, None)]
+    checked = depth = 0
     while queue:
         next_queue = []
-        for ia, ib, prefix in queue:
+        for node in queue:
+            ia, ib, _, _ = node
             checked += 1
             if checked > node_cap:
                 return ComparisonReport("exhausted", None, None, checked)
             la, lb = ga.accepting[ia], gb.accepting[ib]
             if la != lb:
-                word = tuple(prefix)
+                backwards = []
+                while node[2] is not None:
+                    backwards.append(node[3])
+                    node = node[2]
+                word = tuple(reversed(backwards))
                 if accepts(a, word) != la or accepts(b, word) != lb:
                     raise RuntimeError("frontier walk disagrees with membership")
                 return ComparisonReport("left-only" if la else "right-only", word, None, checked)
-            if len(prefix) == max_len:
+            if depth == max_len:
                 continue
             ra, rb = ga.reads[ia], gb.reads[ib]
             for letter in letters:
@@ -780,8 +787,9 @@ def compare_nets_walk(a: CounterNet, b: CounterNet, max_len: int, node_cap: int 
                 if not (ga.frontiers[pair[0]] or gb.frontiers[pair[1]]) or pair in seen:
                     continue  # both dead, no extension can mismatch; or expanded already
                 seen.add(pair)
-                next_queue.append((*pair, prefix + (letter,)))
+                next_queue.append((*pair, node, letter))
         queue = next_queue
+        depth += 1
     return ComparisonReport("equal", None, None, checked)
 
 

@@ -35,9 +35,9 @@ class SweepLimitError(RuntimeError):
 
 
 # the most letters of prefixes one FrontierGraph.words call visits:
-# verify_pipeline then holds about 120 bytes per labelled letter (CPython
+# verify_pipeline then holds about 25 bytes per labelled letter (CPython
 # 3.11, x86-64), so `vasify zoo:Hk --k 1 --report --max-len 260`, just
-# under it, peaks at 330 MB
+# under it, peaks at 91 MB
 _WORDS_BUDGET = 3 * 10**6
 
 
@@ -101,6 +101,17 @@ class CounterNet:
                  tuple(max(0, -e) for e in t.effect) if min(t.effect, default=0) < 0 else None)
                 for t in ts)
         return rows
+
+    @cached_property
+    def _loop_states(self) -> dict[str, frozenset[str]]:
+        """letter -> the states whose only transition on it is a self-loop,
+        built on first use: a frontier on such states alone takes a run of
+        the letter in one jump (accepts)."""
+        loops: dict[str, set[str]] = {}
+        for (state, letter), ts in self.step_table.items():
+            if len(ts) == 1 and ts[0].target == state:
+                loops.setdefault(letter, set()).add(state)
+        return {x: frozenset(qs) for x, qs in loops.items()}
 
 
 class Config(NamedTuple):
@@ -341,12 +352,47 @@ def frontier_accepts(net: CounterNet, frontier: Frontier) -> bool:
 
 def accepts(net: CounterNet, word: Sequence[str], initial: Optional[Sequence[int]] = None) -> bool:
     """Membership via the antichain frontier.  The empty word is accepted
-    iff some initial state is accepting."""
+    iff some initial state is accepting.
+
+    A run of n >= 2 copies of one letter x is taken in one jump when every
+    state of the frontier has exactly one transition on x and it is a
+    self-loop with effect e: each state's vectors v become the vectors
+    v + n*e that are >= 0, and a state left with none drops out.  The jump
+    is exact.  A coordinate with e >= 0 never falls and one with e < 0 is
+    lowest at the end of the run, so v survives the n steps iff v + n*e
+    >= 0.  Each state is reached only from itself, so no two images merge,
+    and a subset of a translated antichain is an antichain, so no pruning
+    is needed.  Any other letter is stepped with step_frontier, and the
+    test is made again at the next one.
+    """
     frontier = initial_frontier(net, initial)
-    for letter in word:
-        frontier = step_frontier(net, frontier, letter)
+    w = tuple(word)
+    n = len(w)
+    loops = net._loop_states
+    i = 0
+    while i < n:
+        x = w[i]
+        j = i + 1
+        if j < n and w[j] == x and x in loops and frontier.keys() <= loops[x]:
+            j += 1
+            while j < n and w[j] == x:
+                j += 1
+            times, rows, jumped = j - i, net._step_rows[x], {}
+            for state, vectors in frontier.items():
+                _, effect, floor = rows[state][0]
+                if effect is not None:
+                    shift = tuple(times * e for e in effect)
+                    low = floor and tuple(times * f for f in floor)  # None: no coordinate falls
+                    vectors = frozenset([tuple(map(add, v, shift)) for v in vectors
+                                         if low is None or all(map(ge, v, low))])
+                if vectors:
+                    jumped[state] = vectors
+            frontier = jumped
+        else:
+            frontier = step_frontier(net, frontier, x)
         if not frontier:
             return False
+        i = j
     return frontier_accepts(net, frontier)
 
 

@@ -310,20 +310,25 @@ def verify_pipeline(
     labelled_matches = orig_words == direct and len(lab_words) == len(orig_words)
 
     failures: list[Word] = []
-    expanded: set[Word] = set()
+    # the phase prefixes are distinct (each spells its word and stop back),
+    # so counting them counts the distinct ones; only those a flat word of
+    # at most flat_len letters can equal are kept
+    expanded = 0
+    short: set[Word] = {()}
     flat = FrontierGraph(result.net, result.initial)
     for w in sorted(lab_words, key=lambda x: (len(x), x)):
         for stop in (1, 2, 3):
             if not w and stop > 1:
                 continue
             pref = triplet_transform(w, stop) if w else ()
-            expanded.add(pref)
+            expanded += 1
+            if len(pref) <= flat_len:
+                short.add(pref)
             if not flat.accepts(pref):
                 failures.append(pref)
 
     flat_words = flat.words(flat_len)
-    closed_images = expanded | {()}
-    extras = [w for w in flat_words if w not in closed_images]
+    extras = [w for w in flat_words if w not in short]
 
     violations, visited, complete = check_gating(result, explore_depth)
     return PipelineReport(
@@ -337,7 +342,7 @@ def verify_pipeline(
         stats={
             "labelled_words": len(lab_words),
             "flat_words": len(flat_words),
-            "expanded_prefixes": len(expanded),
+            "expanded_prefixes": expanded,
             "gating_nodes": visited,
             "gating_complete": complete,
         },

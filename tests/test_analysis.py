@@ -916,22 +916,17 @@ def test_walk_node_counts_are_pinned():
         assert (rep.verdict, rep.checked) == ("equal", nodes)
 
 
-def test_walk_step_counts_are_pinned(monkeypatch):
+def test_walk_step_counts_are_pinned(steps):
     """Frontier steps of the walks above.  A letter that neither frontier of
     a pair reads is skipped; stepping every letter would take 11,179, 6,960
     and 10,010 steps."""
-    import counternet.core as core_mod
-    calls = []
-    real = core_mod.step_frontier
-    monkeypatch.setattr(core_mod, "step_frontier",
-                        lambda net, frontier, letter: calls.append(letter) or real(net, frontier, letter))
     rep = compare_nets_walk(build_selector_dcn(3), build_selector_ncn(3), 12)
-    assert (rep.checked, len(calls)) == (1547, 3_961)
-    for net, nodes, steps in ((build_paired_dcn(3), 781, 3_330), (build_selector_dcn(3), 946, 2_880)):
-        calls.clear()
+    assert (rep.checked, len(steps)) == (1547, 3_961)
+    for net, nodes, stepped in ((build_paired_dcn(3), 781, 3_330), (build_selector_dcn(3), 946, 2_880)):
+        steps.clear()
         factors = [project(net, i) for i in range(1, net.dimension + 1)]
         rep = check_decomposition(net, factors, all_words(net.alphabet, 10))
-        assert (rep.checked, len(calls)) == (nodes, steps)
+        assert (rep.checked, len(steps)) == (nodes, stepped)
 
 
 def brute_first_mismatch(a, b, max_len):
@@ -1273,6 +1268,17 @@ def test_refuter_guided_memory_does_not_grow_with_the_pumped_word():
         tracemalloc.stop()
     assert (res.verdict, len(res.word)) == ("counterexample", 11_103)
     assert peak < 2 * 2**20
+
+
+def test_refuter_guided_decides_runs_of_one_letter_in_one_step(steps):
+    # the pumped word of three factors, one of them P's first projection,
+    # has 648,364 letters, nearly all in four runs each factor jumps
+    cb, cc = build_coarse_factors()
+    res = refute_partition_decomposition([cb, cc, project(build_partition_net(), 1)], "guided")
+    assert res.verdict == "counterexample"
+    assert res.word == (("a",) * 216_060 + ("#",) + (("a",) * 60 + ("#",)) * 3
+                        + ("b",) * 216_060 + ("c",) * 216_060)
+    assert len(steps) < 1000
 
 
 def _guided_factor_sets():

@@ -416,6 +416,80 @@ def test_zero_dimension_net_is_plain_automaton():
     assert accepts(net, ("x",) * 3)
 
 
+def _accepts_per_letter(net, word, initial=None):
+    """accepts as it was before runs of one letter were jumped: one step
+    per letter.  Returns the verdict and the number of steps taken."""
+    frontier = initial_frontier(net, initial)
+    for steps, letter in enumerate(word, 1):
+        frontier = step_frontier(net, frontier, letter)
+        if not frontier:
+            return False, steps
+    return frontier_accepts(net, frontier), len(word)
+
+
+def test_accepts_matches_the_per_letter_loop_on_words_of_long_runs(steps):
+    rng = random.Random(2207)
+    words = jumped = 0
+    for _ in range(800):
+        dim = rng.randint(0, 3)
+        net = random_cn(rng, dim=dim, max_states=3)
+        v0 = tuple(rng.randint(0, 3) for _ in range(dim))
+        for _ in range(15):
+            w = tuple(itertools.chain.from_iterable(
+                (rng.choice("xy"),) * rng.randint(1, 12) for _ in range(rng.randint(1, 6))))
+            steps.clear()
+            verdict, taken = _accepts_per_letter(net, w, v0)
+            assert accepts(net, w, v0) == verdict, (net, w, v0)
+            words += 1
+            jumped += len(steps) < taken
+    # the jump is taken often enough for the comparison to test it
+    assert jumped > words // 10
+
+
+def _loop_net(dim, loop, more=(), initial=("q",), accepting=("q",)):
+    """A net whose state q loops on x with effect loop, plus the
+    transitions more."""
+    ts = (Transition("q", "x", loop, "q"), *more)
+    return validate(CounterNet("loop", dim, frozenset(t.letter for t in ts), ("q", "r"),
+                               frozenset(initial), frozenset(accepting), ts))
+
+
+def test_accepts_jumps_a_negative_loop_to_exactly_zero(steps):
+    net = _loop_net(2, (-2, 1))
+    assert accepts(net, ("x",) * 5, initial=(10, 0))
+    assert not accepts(net, ("x",) * 6, initial=(10, 0))
+    assert steps == []
+    assert accepts(net, "xxxxx", initial=(10, 0))
+    assert not accepts(net, "xxxxxx", initial=(10, 0))
+    assert steps == []
+
+
+def test_accepts_jumps_a_zero_effect_loop_and_a_dimension_0_loop(steps):
+    assert accepts(_loop_net(1, (0,)), ("x",) * 10**5)
+    assert accepts(_loop_net(0, ()), ("x",) * 10**5)
+    assert not accepts(_loop_net(0, (), accepting=("r",)), ("x",) * 10**5)
+    assert steps == []
+
+
+def test_accepts_steps_a_self_loop_that_has_a_second_transition_on_its_letter(steps):
+    net = _loop_net(1, (-1,), more=(Transition("q", "x", (1,), "r"), Transition("r", "x", (0,), "r")),
+                    accepting=("r",))
+    for n in range(1, 8):
+        w = ("x",) * n
+        assert accepts(net, w) == _accepts_per_letter(net, w)[0]
+    steps.clear()
+    assert accepts(net, ("x",) * 9, initial=(3,))
+    assert steps == ["x"] * 4  # q is gone after four letters, r alone jumps the rest
+
+
+def test_accepts_steps_a_state_that_does_not_read_the_letter(steps):
+    # r has no transition on x: the first x drops it, the other nine jump
+    net = _loop_net(1, (1,), more=(Transition("r", "y", (0,), "r"),), initial=("q", "r"))
+    assert accepts(net, ("x",) * 10 + ("y",)) is False
+    assert accepts(net, ("x",) * 10)
+    assert steps == ["x", "y", "x"]
+
+
 def test_naive_agrees_on_partition_samples():
     p = build_partition_net()
     for text in ("", "a#bc", "a#b", "a#a#bbcc", "aa#bc", "#", "ab", "a#a#bc"):
@@ -486,27 +560,22 @@ def test_frontier_graph_accepts_matches_accepts_on_random_nets():
             assert FrontierGraph(net, initial).words(6) == {w for w in words if accepts(net, w, initial)}
 
 
-def test_frontier_graph_steps_each_prefix_once(monkeypatch):
-    import counternet.core as core_mod
-    calls = []
-    real = core_mod.step_frontier
-    monkeypatch.setattr(core_mod, "step_frontier",
-                        lambda net, frontier, letter: calls.append(letter) or real(net, frontier, letter))
+def test_frontier_graph_steps_each_prefix_once(steps):
     p = build_partition_net()
     words = [item.word for item in all_words(p.alphabet, 4)]
     decide = FrontierGraph(p).accepts
     first = [decide(w) for w in words]
     prefixes = {w[:i] for w in words for i in range(1, len(w) + 1)}
-    assert 0 < len(calls) <= len(prefixes)
-    stepped = len(calls)
+    assert 0 < len(steps) <= len(prefixes)
+    stepped = len(steps)
     assert [decide(w) for w in reversed(words)] == first[::-1]
-    assert len(calls) == stepped  # a second pass steps nothing
+    assert len(steps) == stepped  # a second pass steps nothing
     # a prefix with an empty frontier gets no children: y is never stepped
-    calls.clear()
+    steps.clear()
     dead = FrontierGraph(validate(CounterNet(
         "dead", 0, frozenset("xy"), ("q",), ("q",), ("q",), (Transition("q", "y", (), "q"),)))).accepts
     assert not any(dead(("x",) + ("y",) * n) for n in range(5))
-    assert calls == ["x"]
+    assert steps == ["x"]
 
 
 def test_frontier_graph_rejects_a_bad_initial_vector():
@@ -528,17 +597,12 @@ def test_frontier_graph_holds_one_frontier_per_prefix_of_a_growing_counter():
     assert graph.frontiers[7] == {"q": {(7,)}}
 
 
-def test_frontier_graph_holds_distinct_frontiers_of_a_sweep(monkeypatch):
-    import counternet.core as core_mod
-    calls = []
-    real = core_mod.step_frontier
-    monkeypatch.setattr(core_mod, "step_frontier",
-                        lambda net, frontier, letter: calls.append(letter) or real(net, frontier, letter))
+def test_frontier_graph_holds_distinct_frontiers_of_a_sweep(steps):
     p = build_partition_net()
     words = [item.word for item in segmented_box(3, 6)]
     graph = FrontierGraph(p)
     answers = [graph.accepts(w) for w in words]
-    assert (len(graph.frontiers), len(calls)) == (1_224, 1_741)
+    assert (len(graph.frontiers), len(steps)) == (1_224, 1_741)
     assert len({w[:i] for w in words for i in range(1, len(w) + 1)}) == 19_941
     assert answers[::97] == [accepts(p, w) for w in words[::97]]
 

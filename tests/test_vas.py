@@ -397,6 +397,23 @@ def test_pipeline_report_at_the_defaults_is_pinned(net, extra_count, extras, sta
     )
 
 
+def test_pipeline_counts_and_filters_as_the_set_of_every_phase_prefix():
+    # the report keeps a count and the short prefixes only; the set of all
+    # of them, as it was once held, gives the same count and extras
+    rng = random.Random(5)
+    nets = [build_paired_dcn(1), build_selector_dcn(2)] + [random_dcn(rng, dim=1) for _ in range(6)]
+    for net, max_len, flat_len in zip(nets, (9, 4, 5, 5, 6, 6, 7, 7), (4, 7, 3, 5, 4, 6, 5, 7)):
+        rep = verify_pipeline(net, max_len=max_len, flat_len=flat_len)
+        labels = distinct_label(net)
+        result = vasify(labels.net)
+        every = {triplet_transform(w, stop) if w else () for w in FrontierGraph(labels.net).words(max_len)
+                 for stop in ((1, 2, 3) if w else (1,))}
+        flat_words = FrontierGraph(result.net, result.initial).words(flat_len)
+        extras = sorted((w for w in flat_words if w not in every | {()}), key=lambda x: (len(x), x))
+        assert rep.stats["expanded_prefixes"] == len(every)
+        assert (rep.extra_count, rep.extra_members) == (len(extras), tuple(extras[:20]))
+
+
 def test_triplet_transform_makes_each_phase_letter_once():
     # one string per phase letter, however often the letter repeats
     w = triplet_transform(("x", "y", "x", "x"), stop=2)
