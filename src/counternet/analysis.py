@@ -15,7 +15,7 @@ import itertools
 import math
 import sys
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cache, partial
 from operator import sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -228,6 +228,8 @@ def pump_run(
     With factorial_of = q, each unit of `times` inserts q!/len(cycle)
     copies, so one unit contributes a cycle block of length exactly q!.
     regime "N" raises if the pumped run dips below zero; "Z" permits it.
+    Raises SweepLimitError, before building anything, when the pumped
+    word would hold more than WORD_BUDGET letters.
     """
     if times < 0:
         raise ValueError("times must be >= 0")
@@ -245,10 +247,13 @@ def pump_run(
         if period % len(piece) != 0:
             raise ValueError("cycle length does not divide the factorial period")
         copies = times * (period // len(piece))
+    length = len(run.transitions) + copies * len(piece)
+    if length > WORD_BUDGET:
+        raise SweepLimitError(f"the pumped word would have {length} letters, above the budget of "
+                              f"{WORD_BUDGET}")
     new_transitions = run.transitions[:where] + tuple(piece) * copies + run.transitions[where:]
-    start = run.configs[0]
     # replay checks state chaining and, for regime N, non-negativity
-    return replay(start.state, start.counters, new_transitions, regime)
+    return replay(*run.configs[0], new_transitions, regime)
 
 
 # ---------------------------------------------------------------------------
@@ -709,14 +714,18 @@ def bounded_compare(
     neither side is a callable or empty, the sweep runs as a joint
     frontier walk, with a sequence replaced by its product, which covers
     the same words exactly if the generator holds every letter the nets
-    read.  Otherwise words are decided in generator order, each net
-    through one FrontierGraph, so a frontier reached by many prefixes is
-    stepped once per letter.  A counterexample is
+    read, and all the nets share one alphabet.  Otherwise words are
+    decided in generator order, each distinct net through one
+    FrontierGraph shared by both sides, so a frontier reached by many
+    prefixes is stepped once per letter.  A counterexample is
     re-verified with plain accepts from the empty prefix before it is
     reported.
     """
-    if isinstance(generator, AllWords) and not any(callable(s) or not s for s in (left, right)):
-        a, b = (s if isinstance(s, CounterNet) else product_all(s) for s in (left, right))
+    sides = [[s] if isinstance(s, CounterNet) else s for s in (left, right)]
+    # the walk and the product need one alphabet: nets over different ones are swept
+    if (isinstance(generator, AllWords) and not any(callable(s) or not s for s in sides)
+            and len({n.alphabet for s in sides for n in s}) == 1):
+        a, b = map(product_all, sides)
         # a letter neither net reads kills both sides, so the walk, over the
         # nets' alphabet, is exact when the generator holds every letter read
         if {t.letter for n in (a, b) for t in n.transitions} <= set(generator.alphabet):
@@ -726,7 +735,8 @@ def bounded_compare(
         held = (size if size < 10**_DIGITS else f"about 10^{generator.log10:.0f}"
                 if generator.log10 < math.inf else "more than 10^(10^307)")
         raise SweepLimitError(f"generator holds {held} words, cap is {hard_cap}")
-    decide_left, decide_right = (_side_decider(s, lambda net: FrontierGraph(net).accepts) for s in (left, right))
+    graph = cache(FrontierGraph)  # one graph per distinct net of both sides
+    decide_left, decide_right = (_side_decider(s, lambda net: graph(net).accepts) for s in (left, right))
     checked = 0
     for word, params in generator:
         checked += 1
@@ -744,7 +754,8 @@ def bounded_compare(
 
 def compare_nets_walk(a: CounterNet, b: CounterNet, max_len: int, node_cap: int = 500_000) -> ComparisonReport:
     """Exact comparison of two nets on every word up to max_len by a
-    breadth-first walk over pairs of frontier ids, one FrontierGraph per net.
+    breadth-first walk over pairs of frontier ids, one FrontierGraph per
+    distinct net (a net compared with itself steps one graph).
 
     Two prefixes with the same frontier pair behave identically ever
     after, so each pair is expanded once, from its shortest prefix.  A
@@ -756,7 +767,8 @@ def compare_nets_walk(a: CounterNet, b: CounterNet, max_len: int, node_cap: int 
     if a.alphabet != b.alphabet:
         raise ValueError("comparison requires a common alphabet")
     letters = sorted(a.alphabet)
-    ga, gb = FrontierGraph(a), FrontierGraph(b)
+    ga = FrontierGraph(a)
+    gb = ga if b == a else FrontierGraph(b)
     seen = {(0, 0)}
     queue = [(0, 0, None, None)]
     checked = depth = 0

@@ -332,11 +332,9 @@ def _cmd_pump(args) -> tuple[str, Optional[Word], dict, str]:
     if not enum.runs:
         return "reject", None, {"word": args.word}, "machine rejects the word; nothing to pump"
     run = enum.runs[0]
-    if args.segment is None:
-        scope = (0, len(run.configs) - 1)
-    else:
-        sw = zoo.parse_segmented(word)
-        spans, b_span, c_span = analysis.segment_spans(sw)
+    scope = None  # the whole run
+    if args.segment is not None:
+        spans, b_span, c_span = analysis.segment_spans(zoo.parse_segmented(word))
         if args.segment == "b":
             scope = b_span
         elif args.segment == "c":
@@ -351,20 +349,12 @@ def _cmd_pump(args) -> tuple[str, Optional[Word], dict, str]:
             scope = spans[idx - 1]
     required = (analysis.SIGN_POSITIVE if args.sign == "pos"
                 else analysis.SIGN_NONNEGATIVE)
-    try:
-        cycle = analysis.extract_pumpable_cycle(run, scope, required)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    cycle = analysis.extract_pumpable_cycle(run, scope, required)
     stats = {"word": args.word, "segment": args.segment, "sign": args.sign,
              "times": args.times}
     if cycle is None:
         return "no-cycle", None, stats, "no pumpable cycle of that sign in the scope"
     factorial_of = len(net.states) if args.factorial else None
-    block = analysis.pump_period([net]) if args.factorial else len(cycle.transitions)
-    length = len(word) + args.times * block
-    if length > fileformat.WORD_BUDGET:
-        raise CliError(f"the pumped word would have {length} letters, above the budget of "
-                       f"{fileformat.WORD_BUDGET}")
     pumped = analysis.pump_run(run, cycle, args.times, factorial_of=factorial_of)
     pumped_word = pumped.word()
     stats.update({

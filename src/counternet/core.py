@@ -39,6 +39,10 @@ class SweepLimitError(RuntimeError):
 # 3.11, x86-64), so `vasify zoo:Hk --k 1 --report --max-len 260`, just
 # under it, peaks at 91 MB
 _WORDS_BUDGET = 3 * 10**6
+# the most vector entries (a vector counts 1 + dimension) of the frontiers
+# one FrontierGraph.words call interns: counters that grow with the word
+# give a frontier per prefix (`vasify zoo:Hk --k 40 --report`)
+_FRONTIERS_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -212,29 +216,15 @@ def run_effect(run: Run) -> Vector:
 
 def is_valid_n_run(net: CounterNet, run: Run, initial: Sequence[int]) -> bool:
     """Check run starts at the given vector, takes net transitions only,
-    stays state-consistent, and never drops a counter below zero."""
-    if len(run.configs) != len(run.transitions) + 1:
+    stays state-consistent, and never drops a counter below zero: its
+    configs must be those replay builds from its first state."""
+    if not run.configs or run.configs[0].state not in net.states or not set(run.transitions) <= set(net.transitions):
         return False
-    if run.configs[0].counters != tuple(initial):
+    try:  # a bad start vector, a broken chain or a counter below zero
+        replayed = replay(run.configs[0].state, _initial_vector(net, initial), run.transitions)
+    except ValueError:
         return False
-    declared = set(net.states)
-    known = set(net.transitions)
-    for c in run.configs:
-        if c.state not in declared:
-            return False
-        if len(c.counters) != net.dimension:
-            return False
-        if any(x < 0 for x in c.counters):
-            return False
-    for i, t in enumerate(run.transitions):
-        if t not in known:
-            return False
-        before, after = run.configs[i], run.configs[i + 1]
-        if before.state != t.source or after.state != t.target:
-            return False
-        if tuple(a + e for a, e in zip(before.counters, t.effect)) != after.counters:
-            return False
-    return True
+    return tuple(run.configs) == replayed.configs
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +453,8 @@ class FrontierGraph:
         it reads whose successor frontier is not empty.  Each frontier's
         live edges are listed once per call, in sorted letter order, and
         kept only for the call.  Raises SweepLimitError once the prefixes
-        visited hold more than _WORDS_BUDGET letters."""
+        visited hold more than _WORDS_BUDGET letters, or the frontiers the
+        call interns more than _FRONTIERS_BUDGET vector entries."""
         if max_len < 0:
             raise ValueError(f"word length bound must be >= 0, got {max_len}")
         letters = sorted(self.net.alphabet)
@@ -471,6 +462,7 @@ class FrontierGraph:
         found: set[Word] = set()
         stack: list[tuple[int, Word]] = [(0, ())]
         visited = 0  # letters of the prefixes popped so far
+        entries, width = 0, 1 + self.net.dimension  # of the frontiers interned so far
         while stack:
             i, word = stack.pop()
             visited += len(word)
@@ -482,9 +474,13 @@ class FrontierGraph:
             if len(word) < max_len:
                 edges = live.get(i)
                 if edges is None:
-                    reads = self.reads[i]
+                    reads, fresh = self.reads[i], len(self.frontiers)
                     steps = ((x, self.step(i, x)) for x in letters if x in reads)
                     edges = live[i] = [(x, j) for x, j in steps if self.frontiers[j]]
+                    entries += width * sum(len(vs) for f in self.frontiers[fresh:] for vs in f.values())
+                    if entries > _FRONTIERS_BUDGET:
+                        raise SweepLimitError(f"the frontiers of the words up to length {max_len} pass "
+                                              f"the budget of {_FRONTIERS_BUDGET} vector entries")
                 stack.extend((j, word + (x,)) for x, j in edges)
         return found
 

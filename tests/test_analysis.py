@@ -22,6 +22,7 @@ from counternet.analysis import (
     SIGN_POSITIVE,
     BOXES,
     BadSegmentWitness,
+    ComparisonReport,
     CycleWitness,
     PumpableCycle,
     SearchCaps,
@@ -403,6 +404,25 @@ def test_pump_negative_times_rejected():
     cyc = extract_pumpable_cycle(run)
     with pytest.raises(ValueError):
         pump_run(run, cyc, -1)
+
+
+def test_pump_past_the_word_budget_is_refused_before_the_run_is_built(monkeypatch):
+    run = make_run("q", (0,), [("s", (2,), "q"), ("s", (2,), "q")])
+    cyc = extract_pumpable_cycle(run, required=SIGN_POSITIVE)
+    assert len(cyc.transitions) == 1
+    real = analysis.replay
+    monkeypatch.setattr(analysis, "replay", lambda *args: pytest.fail("a refused run was built"))
+    with pytest.raises(SweepLimitError, match=r"^the pumped word would have 100000002 letters, "
+                                              r"above the budget of 10000000$"):
+        pump_run(run, cyc, 10**8)
+    # with factorial_of = 3 each unit adds a 3! block
+    with pytest.raises(SweepLimitError, match="would have 10000004 letters"):
+        pump_run(run, cyc, 1_666_667, factorial_of=3)
+    monkeypatch.setattr(analysis, "replay", real)
+    monkeypatch.setattr(analysis, "WORD_BUDGET", 14)
+    assert len(pump_run(run, cyc, 2, factorial_of=3)) == 14
+    with pytest.raises(SweepLimitError, match="would have 15 letters, above the budget of 14"):
+        pump_run(run, cyc, 13)
 
 
 def test_pump_regime_guard():
@@ -927,6 +947,27 @@ def test_walk_step_counts_are_pinned(steps):
         factors = [project(net, i) for i in range(1, net.dimension + 1)]
         rep = check_decomposition(net, factors, all_words(net.alphabet, 10))
         assert (rep.checked, len(steps)) == (nodes, stepped)
+    # a net compared with itself, or with an equal copy, steps one graph:
+    # two would take 10,472 and 944 steps
+    for compare, generator, nodes, stepped in ((compare_nets_walk, 20, 3650, 5_236),
+                                               (bounded_compare, segmented_box(3, 4), 3900, 472)):
+        steps.clear()
+        rep = compare(build_partition_net(), build_partition_net(), generator)
+        assert (rep.verdict, rep.checked, len(steps)) == ("equal", nodes, stepped)
+
+
+def test_all_words_comparisons_of_nets_over_different_alphabets_are_swept():
+    # a over {x}, b over {x, y}: both read only x, so both accept x^n alone
+    a = validate(CounterNet("a", 0, frozenset("x"), ("q",), ("q",), ("q",), (Transition("q", "x", (), "q"),)))
+    b = replace(a, name="b", alphabet=frozenset("xy"))
+    words = all_words({"x", "y"}, 2)
+    listed = [item for item in words]
+    assert bounded_compare(a, b, listed) == ComparisonReport("equal", None, None, 7)
+    assert bounded_compare(a, b, words) == bounded_compare(a, b, listed)
+    assert check_decomposition(a, [a, b], words) == check_decomposition(a, [a, b], listed)
+    # over one alphabet the walk runs: x keeps both frontiers as they start,
+    # so it checks one node where a sweep would check three words
+    assert bounded_compare(a, replace(b, name="c", alphabet=frozenset("x")), all_words("x", 2)).checked == 1
 
 
 def brute_first_mismatch(a, b, max_len):

@@ -128,6 +128,26 @@ def test_caret_letter_in_a_machine_file_is_a_usage_error(tmp_path, capsys):
     assert rc == 2
 
 
+def test_files_without_one_machine_of_the_name_are_usage_errors(tmp_path, capsys):
+    empty, twice = tmp_path / "empty.cn", tmp_path / "twice.cn"
+    empty.write_text("; a comment and no machine\n")
+    twice.write_text(GE_FILE + GE_FILE)
+    assert run(capsys, "check", str(empty), "--word", "d") == (2, "", f"error: {empty} defines no machines\n")
+    assert run(capsys, "check", f"{twice}:ge", "--word", "d") == (
+        2, "", f"error: {twice} defines 'ge' more than once\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("eq", "zoo:P", "zoo:P", "--box", "triple:1,2"), "box triple takes (1,) arguments, got 2"),
+    (("eq", "zoo:coarse.b", "zoo:L2.dcn", "--box", "words:2"),
+     "--box words needs machines over a common alphabet"),
+    (("eq", "zoo:coarse.b", "zoo:L2.dcn", "--max-len", "2"), "--max-len needs machines over a common alphabet"),
+    (("lift", "zoo:P", "--dim", "3", "--placement", "1,x"), "--placement must be comma-separated coordinates"),
+])
+def test_bad_flag_values_name_the_flag(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_check_file_with_name_selection(tmp_path, capsys):
     f = tmp_path / "two.cn"
     f.write_text(GE_FILE)
@@ -163,6 +183,13 @@ def test_eq_selector_variants_agree(capsys):
                           "--box", "selector:2,3")
     assert rc == 0
     assert rep["verdict"] == "equal"
+
+
+def test_eq_prints_an_exhausted_walk(monkeypatch, capsys):
+    walk = analysis.compare_nets_walk
+    monkeypatch.setattr(analysis, "compare_nets_walk", lambda a, b, max_len: walk(a, b, max_len, node_cap=10))
+    assert run(capsys, "eq", "zoo:P", "zoo:P", "--max-len", "5") == (
+        1, "exhausted after 11 nodes, no verdict\n", "")
 
 
 def test_eq_needs_exactly_one_generator(capsys):
@@ -532,14 +559,15 @@ def test_pump_long_segment(capsys):
 
 def test_pump_past_the_word_budget_is_a_usage_error(monkeypatch, capsys):
     # the README command pumps a 10-letter word to 12 letters (a^8 # b^3);
-    # with --factorial each of its 2 units adds a 3! block, so 22 letters
+    # with --factorial each of its 2 units adds a 3! block, so 22 letters;
+    # pump_run reads the budget analysis imports from fileformat
     readme = ("pump", "zoo:coarse.b", "--word", "a^6 # b^3", "--segment", "1", "--sign", "pos",
               "--times", "2")
     for budget, extra in ((12, ()), (22, ("--factorial",))):
-        monkeypatch.setattr(fileformat, "WORD_BUDGET", budget)
+        monkeypatch.setattr(analysis, "WORD_BUDGET", budget)
         rc, text, _ = run(capsys, *readme, *extra)
         assert rc == 0 and text.startswith("pumped word:")
-        monkeypatch.setattr(fileformat, "WORD_BUDGET", budget - 1)
+        monkeypatch.setattr(analysis, "WORD_BUDGET", budget - 1)
         rc, text, err = run(capsys, *readme, *extra)
         assert rc == 2 and text == ""
         assert err == (f"error: the pumped word would have {budget} letters, above the budget "
@@ -571,6 +599,18 @@ def test_pump_no_cycle(capsys):
                           "--sign", "pos")
     assert rc == 1
     assert rep["verdict"] == "no-cycle"
+
+
+@pytest.mark.parametrize("segment, sign, pumped", [("b", "pos", "a^2 # b^4 c^3"),
+                                                    ("c", "nonneg", "a^2 # b^2 c^5")])
+def test_pump_the_b_and_c_blocks(tmp_path, capsys, segment, sign, pumped):
+    # one state looping on every letter: b adds 1, c adds nothing
+    f = tmp_path / "loops.cn"
+    f.write_text("cn loops\ndim 1\nalphabet a b c #\ninit q\naccept q\ntrans q a 1 q\n"
+                 "trans q # 0 q\ntrans q b 1 q\ntrans q c 0 q\nend\n")
+    rc, rep, _ = run_json(capsys, "pump", str(f), "--word", "a^2 # b^2 c^3", "--segment", segment,
+                          "--sign", sign, "--times", "2")
+    assert (rc, rep["verdict"], rep["counterexample"]) == (0, "pumped", pumped)
 
 
 def test_pump_segment_errors(tmp_path, capsys):
@@ -821,6 +861,19 @@ def test_vasify_report_past_the_words_budget_is_refused(capsys):
     assert rc == 2 and out == ""
     assert err == "error: the words up to length 400 pass the budget of 3000000 letters\n"
     assert peak < 100 * 2**20
+
+
+def test_vasify_report_past_the_frontiers_budget_is_refused():
+    # Hk(40)'s labelled words up to length 6 stay under the letter budget,
+    # yet each reaches frontiers of its own, 41 counters wide; the child's
+    # address space is capped at 256 MiB, far below the 800 MB they would take
+    script = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28)); "
+              "from counternet.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", script, "vasify", "zoo:Hk", "--k", "40", "--report"],
+                          capture_output=True, text=True, env=_cli_env(), timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: the frontiers of the words up to length 6 pass the budget of "
+                           "1000000 vector entries\n")
 
 
 def test_paired_box_of_too_many_counts_is_refused(capsys):

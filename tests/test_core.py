@@ -12,6 +12,7 @@ from counternet.core import (
     EnumerationCapError,
     FrontierGraph,
     InvalidNetError,
+    Run,
     SweepLimitError,
     Transition,
     _maximal,
@@ -29,6 +30,7 @@ from counternet.core import (
     step_frontier,
     validate,
 )
+import counternet.core as core_mod
 from counternet.analysis import all_words, segmented_box
 from counternet.zoo import (
     PartitionKWord,
@@ -84,6 +86,16 @@ def test_validate_rejects_undeclared_state():
     bad = (Transition("p", "x", (0,), "ghost"),)
     with pytest.raises(InvalidNetError):
         validate(small_net(transitions=bad))
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"initial": frozenset({"ghost"})}, "initial state 'ghost' not declared"),
+    ({"accepting": frozenset({"ghost"})}, "accepting state 'ghost' not declared"),
+    ({"transitions": (Transition("ghost", "x", (0,), "q"),)}, "transition 0 source 'ghost' not declared"),
+], ids=["initial", "accepting", "source"])
+def test_validate_names_the_undeclared_state(overrides, message):
+    with pytest.raises(InvalidNetError, match=f"^toy: {message}$"):
+        validate(small_net(**overrides))
 
 
 def test_validate_rejects_letter_outside_alphabet():
@@ -798,6 +810,113 @@ def test_is_valid_n_run_rejects_foreign_transition():
     assert not is_valid_n_run(net, fake, (0,))
 
 
+def _is_valid_n_run_by_hand(net, run, initial):
+    """The chaining, arithmetic and sign checks is_valid_n_run made before
+    it replayed the run: the reference it is checked against."""
+    if len(run.configs) != len(run.transitions) + 1:
+        return False
+    if run.configs[0].counters != tuple(initial):
+        return False
+    declared = set(net.states)
+    known = set(net.transitions)
+    for c in run.configs:
+        if c.state not in declared:
+            return False
+        if len(c.counters) != net.dimension:
+            return False
+        if any(x < 0 for x in c.counters):
+            return False
+    for i, t in enumerate(run.transitions):
+        if t not in known:
+            return False
+        before, after = run.configs[i], run.configs[i + 1]
+        if before.state != t.source or after.state != t.target:
+            return False
+        if tuple(a + e for a, e in zip(before.counters, t.effect)) != after.counters:
+            return False
+    return True
+
+
+def _down_up():
+    # p -x:+1-> q -y:-1-> p
+    return validate(CounterNet("du", 1, frozenset("xy"), ("p", "q"), ("p",), ("p",),
+                               (Transition("p", "x", (1,), "q"), Transition("q", "y", (-1,), "p"))))
+
+
+_XY = _down_up().transitions
+
+
+@pytest.mark.parametrize("configs, transitions, initial", [
+    pytest.param((Config("p", (0,)), Config("q", (1,))), _XY, (0,), id="too-few-configs"),
+    pytest.param((Config("p", (1,)), Config("q", (2,)), Config("p", (1,))), _XY, (0,),
+                 id="starts-off-the-initial-vector"),
+    pytest.param((Config("p", (0,)), Config("ghost", (1,)), Config("p", (0,))),
+                 (_XY[0], Transition("ghost", "y", (-1,), "p")), (0,), id="undeclared-state"),
+    pytest.param((Config("p", (0,)), Config("q", (1, 0)), Config("p", (0,))), _XY, (0,),
+                 id="wrong-dimension"),
+    pytest.param((Config("p", (-1,)), Config("q", (0,)), Config("p", (-1,))), _XY, (-1,),
+                 id="negative-counter"),
+    pytest.param((Config("p", (0,)), Config("p", (1,)), Config("p", (0,))), _XY, (0,),
+                 id="broken-chain"),
+    pytest.param((Config("p", (0,)), Config("q", (2,)), Config("p", (1,))), _XY, (0,),
+                 id="wrong-arithmetic"),
+])
+def test_is_valid_n_run_rejects_each_broken_run(configs, transitions, initial):
+    net = _down_up()
+    assert is_valid_n_run(net, replay("p", (0,), _XY), (0,))
+    broken = Run(configs, tuple(transitions))
+    assert not is_valid_n_run(net, broken, initial)
+    assert not _is_valid_n_run_by_hand(net, broken, initial)
+
+
+def _mutations(rng, net, run, v0):
+    """(run, initial) pairs near a valid run: a changed counter, state,
+    dimension, transition or length, and a shifted or negative start."""
+    configs, transitions = list(run.configs), list(run.transitions)
+    i = rng.randrange(len(configs))
+    state, counters = configs[i]
+    yield run, v0
+    if counters:
+        k = rng.randrange(len(counters))
+        bumped = counters[:k] + (counters[k] + rng.choice((-1, 1)),) + counters[k + 1:]
+        yield Run(tuple(configs[:i] + [Config(state, bumped)] + configs[i + 1:]), run.transitions), v0
+    other = rng.choice(net.states + ("ghost",))
+    yield Run(tuple(configs[:i] + [Config(other, counters)] + configs[i + 1:]), run.transitions), v0
+    wider = [Config(s, c + (0,)) for s, c in configs]
+    yield Run(tuple(configs[:i] + wider[i:i + 1] + configs[i + 1:]), run.transitions), v0
+    yield Run(tuple(wider), run.transitions), v0 + (0,)
+    if transitions:
+        j = rng.randrange(len(transitions))
+        swap = rng.choice(net.transitions + (Transition(transitions[j].source, "x",
+                                                        (1,) * net.dimension, transitions[j].target),))
+        yield Run(run.configs, tuple(transitions[:j] + [swap] + transitions[j + 1:])), v0
+        yield Run(run.configs, run.transitions[:-1]), v0
+    yield Run(run.configs[:-1], run.transitions), v0
+    if v0:
+        shifted = tuple(x + 1 for x in v0)
+        yield run, shifted
+        yield replay(run.configs[0].state, shifted, run.transitions), v0
+        low = (-1,) + v0[1:]
+        yield replay(run.configs[0].state, low, run.transitions, "Z"), low
+
+
+def test_is_valid_n_run_agrees_with_the_by_hand_checks_on_random_and_mutated_runs():
+    rng = random.Random(2307)
+    verdicts = []
+    for _ in range(3000):
+        dim = rng.randint(0, 2)
+        net = random_cn(rng, dim=dim, max_states=3)
+        w = tuple(rng.choice(("x", "y")) for _ in range(rng.randint(0, 5)))
+        v0 = tuple(rng.randint(0, 2) for _ in range(dim))
+        enum = enumerate_runs(net, w, rng.choice(net.states), v0, accepting_only=False, cap=4)
+        for run in enum.runs:
+            for mutant, initial in _mutations(rng, net, run, v0):
+                verdict = is_valid_n_run(net, mutant, initial)
+                assert verdict == _is_valid_n_run_by_hand(net, mutant, initial)
+                verdicts.append(verdict)
+    assert verdicts.count(True) > 4000 and verdicts.count(False) > 15000
+
+
 def test_frontier_graph_words_past_the_budget_are_refused():
     # every word over {a, b} is accepted: 2^21 of them up to length 20, 39.8 million letters
     loop = validate(CounterNet(
@@ -806,3 +925,18 @@ def test_frontier_graph_words_past_the_budget_are_refused():
     assert len(FrontierGraph(loop).words(12)) == 2**13 - 1
     with pytest.raises(SweepLimitError, match="the words up to length 20 pass the budget of 3000000 letters"):
         FrontierGraph(loop).words(20)
+
+
+def test_frontier_graph_words_past_the_frontiers_budget_are_refused(monkeypatch):
+    # x adds 1: the call interns the frontiers of x^1 .. x^5, two entries each
+    up = validate(CounterNet("up", 1, frozenset("x"), ("q",), ("q",), ("q",),
+                             (Transition("q", "x", (1,), "q"),)))
+    monkeypatch.setattr(core_mod, "_FRONTIERS_BUDGET", 10)
+    graph = FrontierGraph(up)
+    assert len(graph.words(5)) == 6
+    monkeypatch.setattr(core_mod, "_FRONTIERS_BUDGET", 0)
+    assert len(graph.words(5)) == 6  # this call interns nothing
+    monkeypatch.setattr(core_mod, "_FRONTIERS_BUDGET", 9)
+    with pytest.raises(SweepLimitError, match="^the frontiers of the words up to length 5 pass the budget "
+                                              "of 9 vector entries$"):
+        FrontierGraph(up).words(5)

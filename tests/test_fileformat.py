@@ -188,6 +188,17 @@ def test_error_bad_dim_values():
     assert line_error("cn m\ndim 1 2\nend\n").line_no == 2
 
 
+@pytest.mark.parametrize("text, line_no, message", [
+    ("cn\ndim 1\nend\n", 1, "cn takes exactly one name"),
+    ("cn m n\ndim 1\nend\n", 1, "cn takes exactly one name"),
+    ("cn m\ndim 1\nend m\n", 3, "end takes no arguments"),
+])
+def test_error_keyword_arguments(text, line_no, message):
+    err = line_error(text)
+    assert err.line_no == line_no
+    assert message in str(err)
+
+
 def test_error_end_without_dim():
     err = line_error("cn m\nend\n")
     assert "no dim" in str(err)

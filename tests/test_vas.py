@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from counternet import vas as vas_mod
 from counternet.analysis import all_words
 from counternet.core import CounterNet, FrontierGraph, SweepLimitError, Transition, accepts, validate
 from counternet.vas import (
@@ -302,7 +303,7 @@ def test_gating_matches_the_every_transition_walk():
     outcomes = set()
     for _ in range(40):
         result = vasify(distinct_label(random_dcn(rng, dim=rng.randint(0, 2))).net)
-        for depth, cap in ((12, 20000), (6, 40)):
+        for depth, cap in ((12, 20000), (6, 40), (12, 3)):
             got = check_gating(result, depth, cap)
             assert got == _check_gating_every_transition(result, depth, cap)
             outcomes.add(got[2])
@@ -314,7 +315,30 @@ def test_gating_matches_the_every_transition_walk():
         assert got == _check_gating_every_transition(broken)
 
 
+def test_gating_walk_stops_at_its_node_cap():
+    # the walk of H2's flat net is cut at the first depth holding more than 5 valuations
+    result = vasify(distinct_label(build_paired_dcn(2)).net)
+    got = check_gating(result, 12, node_cap=5)
+    assert got[1:] == (5, False)
+    assert got == _check_gating_every_transition(result, 12, 5)
+
+
 # --- end to end ----------------------------------------------------------------------
+
+def test_pipeline_reports_the_phase_prefixes_the_flat_net_rejects(monkeypatch):
+    # a flat net without its phase-3 transitions rejects each word's last phase prefix
+    real = vas_mod.vasify
+
+    def without_phase_three(net):
+        result = real(net)
+        kept = tuple(t for t in result.net.transitions if not t.letter.endswith("_3"))
+        return dataclasses.replace(result, net=dataclasses.replace(result.net, transitions=kept))
+
+    monkeypatch.setattr(vas_mod, "vasify", without_phase_three)
+    rep = verify_pipeline(single_step_net())
+    assert (rep.labelled_matches, rep.containment_ok) == (True, False)
+    assert rep.containment_failures == (("g0_1", "g0_2", "g0_3"),)
+
 
 def test_pipeline_on_paired_blocks():
     rep = verify_pipeline(build_paired_dcn(2), max_len=4, flat_len=5)

@@ -403,3 +403,27 @@ def test_family_nets_are_pinned_and_round_trip(family, k):
         digests if isinstance(digests, str) else digests[k - 1])
     for net in nets:
         assert parse_machine_file(emit_machine_file([net])) == [net]
+
+
+_MISMATCHED = [
+    (render_selector, SelectorWord((1,), 1, 0), "selector word"),
+    (render_selector, SelectorWord((1, 1), 3, 0), "selector word"),
+    (selector_oracle, SelectorWord((1, 1), 0, 0), "selector word"),
+    (render_paired, PairedBlockWord((1,), (1, 1)), "paired block word"),
+    (paired_oracle, PairedBlockWord((1, 1), (1,)), "paired block word"),
+    (render_partition_k, PartitionKWord((1,), (1,)), "partition word"),
+    (partition_k_oracle, PartitionKWord((1,), (1, 1, 1)), "partition word"),
+    (partition_k_oracle_bruteforce, PartitionKWord((1,), (1,)), "partition word"),
+]
+
+
+@pytest.mark.parametrize("func, w, kind", _MISMATCHED)
+def test_a_word_of_another_k_is_refused(func, w, kind):
+    with pytest.raises(ValueError, match=f"^{kind} does not match k$"):
+        func(2, w)
+
+
+@pytest.mark.parametrize("build", [build_selector_dcn, build_selector_ncn, build_paired_dcn, build_partition_k])
+def test_families_need_k_of_at_least_one(build):
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        build(0)
