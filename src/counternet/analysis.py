@@ -752,6 +752,13 @@ def bounded_compare(
     return ComparisonReport("equal", None, None, checked)
 
 
+# the most vector entries (a vector counts 1 + dimension) the frontier
+# graphs of one compare_nets_walk hold before it starts a depth: `eq zoo:P
+# zoo:P` holds 1.14 * 10^6 at depth 30 and passes the budget at depth 33,
+# about 2 s and 170 MB in
+_WALK_BUDGET = 2 * 10**6
+
+
 def compare_nets_walk(a: CounterNet, b: CounterNet, max_len: int, node_cap: int = 500_000) -> ComparisonReport:
     """Exact comparison of two nets on every word up to max_len by a
     breadth-first walk over pairs of frontier ids, one FrontierGraph per
@@ -760,7 +767,9 @@ def compare_nets_walk(a: CounterNet, b: CounterNet, max_len: int, node_cap: int 
     Two prefixes with the same frontier pair behave identically ever
     after, so each pair is expanded once, from its shortest prefix.  A
     queued node is (ia, ib, parent node, last letter); its prefix is
-    spelled out only for a mismatch.
+    spelled out only for a mismatch.  The walk is "exhausted" past
+    node_cap nodes, or when it would start a depth while the graphs hold
+    more than _WALK_BUDGET vector entries (FrontierGraph.entries).
     """
     if max_len < 0:
         raise ValueError(f"word length bound must be >= 0, got {max_len}")
@@ -771,8 +780,14 @@ def compare_nets_walk(a: CounterNet, b: CounterNet, max_len: int, node_cap: int 
     gb = ga if b == a else FrontierGraph(b)
     seen = {(0, 0)}
     queue = [(0, 0, None, None)]
-    checked = depth = 0
+    checked = depth = held = 0
+    counted = {ga: 0, gb: 0}  # graph -> its frontiers in held; one key when gb is ga
     while queue:
+        for g, done in counted.items():
+            held += g.entries(done)
+            counted[g] = len(g.frontiers)
+        if held > _WALK_BUDGET:
+            return ComparisonReport("exhausted", None, None, checked)
         next_queue = []
         for node in queue:
             ia, ib, _, _ = node

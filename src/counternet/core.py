@@ -12,13 +12,15 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain
 from operator import add, ge
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 Word = tuple[str, ...]
 Vector = tuple[int, ...]
 Frontier = dict[str, frozenset[Vector]]
+Row = tuple[str, Optional[Vector], Optional[Vector]]  # (target, effect, floor): see CounterNet._step_rows
 
 
 class InvalidNetError(ValueError):
@@ -91,7 +93,7 @@ class CounterNet:
         return {k: tuple(v) for k, v in table.items()}
 
     @cached_property
-    def _step_rows(self) -> dict[str, dict[str, tuple[tuple[str, Optional[Vector], Optional[Vector]], ...]]]:
+    def _step_rows(self) -> dict[str, dict[str, tuple[Row, ...]]]:
         """step_table as the (target, effect, floor) rows step_frontier
         reads, letter first (letter -> state -> rows), built on first use:
         effect is None when it is all zeros, floor is the least vector the
@@ -107,15 +109,34 @@ class CounterNet:
         return rows
 
     @cached_property
-    def _loop_states(self) -> dict[str, frozenset[str]]:
-        """letter -> the states whose only transition on it is a self-loop,
-        built on first use: a frontier on such states alone takes a run of
-        the letter in one jump (accepts)."""
-        loops: dict[str, set[str]] = {}
-        for (state, letter), ts in self.step_table.items():
-            if len(ts) == 1 and ts[0].target == state:
-                loops.setdefault(letter, set()).add(state)
-        return {x: frozenset(qs) for x, qs in loops.items()}
+    def _loop_states(self) -> dict[str, dict[str, tuple[tuple[str, Vector, Vector], ...]]]:
+        """letter -> state -> one (target, effect, loop effect) per
+        transition of the state on the letter, for the states that enter
+        self-loops on it, built on first use.  A state enters self-loops on
+        x when it has a transition on x and each one leads to a state whose
+        only transition on x is a self-loop, the loop effect being that
+        loop's; a state that only loops on x is the case where the target is
+        the state itself.  A frontier on such states alone takes a run of x
+        in one jump (accepts)."""
+        table = self.step_table
+        loops: dict[str, dict[str, tuple]] = {}
+        for (state, letter), ts in table.items():
+            ends = [table.get((t.target, letter), ()) for t in ts]
+            if all(len(e) == 1 and e[0].target == t.target for t, e in zip(ts, ends)):
+                loops.setdefault(letter, {})[state] = tuple(
+                    (t.target, t.effect, e[0].effect) for t, e in zip(ts, ends))
+        return loops
+
+    @cached_property
+    def _run_rows(self) -> Callable[[str, int, str], tuple[Row, ...]]:
+        """(letter, n, state) -> the rows (_run_row) that take a run of n
+        copies of the letter in one jump from a state that enters self-loops
+        on it; the 4096 latest are kept, since building a row costs about as
+        much as a step."""
+        @lru_cache(maxsize=4096)
+        def rows(letter: str, n: int, state: str) -> tuple[Row, ...]:
+            return tuple(_run_row(*entry, n - 1) for entry in self._loop_states[letter][state])
+        return rows
 
 
 class Config(NamedTuple):
@@ -297,6 +318,13 @@ def step_frontier(net: CounterNet, frontier: Frontier, letter: str) -> Frontier:
     rows = net._step_rows.get(letter)
     if rows is None:
         return {}
+    return _image(frontier, rows)
+
+
+def _image(frontier: Frontier, rows: dict[str, tuple[Row, ...]]) -> Frontier:
+    """The frontier the (target, effect, floor) rows of each state take
+    frontier to, as step_frontier describes: the only code that
+    translates the vectors of a frontier."""
     out: Frontier = {}
     merged: dict[str, set[Vector]] = {}  # targets reached by two or more images
     for state, vectors in frontier.items():
@@ -318,6 +346,18 @@ def step_frontier(net: CounterNet, frontier: Frontier, letter: str) -> Frontier:
     for target, vectors in merged.items():
         out[target] = _maximal(vectors)
     return out
+
+
+def _run_row(target: str, effect: Vector, loop: Vector, more: int) -> Row:
+    """The row of one transition followed by more turns of the self-loop at
+    its target: effect + more*loop, on the vectors v with v + effect >= 0
+    and v + effect + more*loop >= 0.  A zero effect with a floor stays a
+    vector, so that the floor still filters."""
+    shift = tuple(e + more * f for e, f in zip(effect, loop))
+    floor = tuple(max(0, more * max(0, -f) - e) for e, f in zip(effect, loop))
+    if any(floor):
+        return target, shift, floor
+    return target, shift if any(shift) else None, None
 
 
 def initial_frontier(net: CounterNet, initial: Optional[Sequence[int]] = None) -> Frontier:
@@ -345,39 +385,34 @@ def accepts(net: CounterNet, word: Sequence[str], initial: Optional[Sequence[int
     iff some initial state is accepting.
 
     A run of n >= 2 copies of one letter x is taken in one jump when every
-    state of the frontier has exactly one transition on x and it is a
-    self-loop with effect e: each state's vectors v become the vectors
-    v + n*e that are >= 0, and a state left with none drops out.  The jump
-    is exact.  A coordinate with e >= 0 never falls and one with e < 0 is
-    lowest at the end of the run, so v survives the n steps iff v + n*e
-    >= 0.  Each state is reached only from itself, so no two images merge,
-    and a subset of a translated antichain is an antichain, so no pruning
-    is needed.  Any other letter is stepped with step_frontier, and the
-    test is made again at the next one.
+    state of the frontier enters self-loops on x (CounterNet._loop_states):
+    each of its transitions on x, with effect e, leads to a state whose
+    only transition on x is a self-loop, with effect f.  The run then acts
+    as one row per transition (_run_row): effect e + (n-1)*f, applied to
+    the vectors v with v + e >= 0 and v + e + (n-1)*f >= 0, and these rows
+    go through step_frontier's image code.  The jump is exact.  After the
+    first letter every state only loops, and a coordinate with f >= 0
+    never falls while one with f < 0 is lowest at the end of the run, so
+    the n-1 loop turns keep exactly the vectors whose end point is >= 0.
+    Translating a set, and keeping its vectors at or above a floor, both
+    commute with taking its maximal vectors, so merging the run images of
+    two states that enter one loop with _maximal gives the frontier that
+    stepping and then looping gives.  Any other letter is stepped with
+    step_frontier, and the test is made again at the next one.
     """
     frontier = initial_frontier(net, initial)
     w = tuple(word)
     n = len(w)
-    loops = net._loop_states
+    loops, runs = net._loop_states, net._run_rows
     i = 0
     while i < n:
         x = w[i]
         j = i + 1
-        if j < n and w[j] == x and x in loops and frontier.keys() <= loops[x]:
+        if j < n and w[j] == x and x in loops and frontier.keys() <= loops[x].keys():
             j += 1
             while j < n and w[j] == x:
                 j += 1
-            times, rows, jumped = j - i, net._step_rows[x], {}
-            for state, vectors in frontier.items():
-                _, effect, floor = rows[state][0]
-                if effect is not None:
-                    shift = tuple(times * e for e in effect)
-                    low = floor and tuple(times * f for f in floor)  # None: no coordinate falls
-                    vectors = frozenset([tuple(map(add, v, shift)) for v in vectors
-                                         if low is None or all(map(ge, v, low))])
-                if vectors:
-                    jumped[state] = vectors
-            frontier = jumped
+            frontier = _image(frontier, {state: runs(x, j - i, state) for state in frontier})
         else:
             frontier = step_frontier(net, frontier, x)
         if not frontier:
@@ -429,6 +464,12 @@ class FrontierGraph:
             self._succ.append({})
         return i
 
+    def entries(self, start: int = 0) -> int:
+        """The vector entries of frontiers[start:], a vector counting 1 +
+        dimension: the measure of the budgets on a graph's memory."""
+        vector_sets = chain.from_iterable(map(dict.values, self.frontiers[start:]))
+        return (1 + self.net.dimension) * sum(map(len, vector_sets))
+
     def step(self, i: int, letter: str) -> int:
         succ = self._succ[i]
         j = succ.get(letter)
@@ -462,7 +503,7 @@ class FrontierGraph:
         found: set[Word] = set()
         stack: list[tuple[int, Word]] = [(0, ())]
         visited = 0  # letters of the prefixes popped so far
-        entries, width = 0, 1 + self.net.dimension  # of the frontiers interned so far
+        entries = 0  # of the frontiers interned so far
         while stack:
             i, word = stack.pop()
             visited += len(word)
@@ -477,7 +518,7 @@ class FrontierGraph:
                     reads, fresh = self.reads[i], len(self.frontiers)
                     steps = ((x, self.step(i, x)) for x in letters if x in reads)
                     edges = live[i] = [(x, j) for x, j in steps if self.frontiers[j]]
-                    entries += width * sum(len(vs) for f in self.frontiers[fresh:] for vs in f.values())
+                    entries += self.entries(fresh)
                     if entries > _FRONTIERS_BUDGET:
                         raise SweepLimitError(f"the frontiers of the words up to length {max_len} pass "
                                               f"the budget of {_FRONTIERS_BUDGET} vector entries")

@@ -925,6 +925,25 @@ def test_walk_node_cap_exhausts():
     assert full.counterexample == ("a",)
 
 
+def test_walk_stops_once_its_graphs_pass_the_entry_budget(monkeypatch):
+    # P against itself steps one graph, against a renamed copy two, which
+    # hold twice the vector entries and so pass the budget two depths sooner
+    p = build_partition_net()
+    monkeypatch.setattr(analysis, "_WALK_BUDGET", 10_000)
+    for other, last, nodes in ((p, 13, 524), (replace(p, name="copy"), 11, 271)):
+        assert compare_nets_walk(p, other, last) == ComparisonReport("equal", None, None, nodes)
+        for max_len in (last + 1, 100):
+            assert compare_nets_walk(p, other, max_len) == ComparisonReport("exhausted", None, None, nodes)
+
+
+def test_walk_refuses_a_mismatch_that_membership_does_not_confirm(monkeypatch):
+    cb, cc = build_coarse_factors()
+    from counternet.constructions import product
+    monkeypatch.setattr(analysis, "accepts", lambda net, word: True)
+    with pytest.raises(RuntimeError, match="frontier walk disagrees with membership"):
+        compare_nets_walk(build_partition_net(), product(cb, cc), max_len=10)
+
+
 def test_walk_node_counts_are_pinned():
     # the frontier after a prefix is the unique antichain of its maximal
     # vectors, so the number of joint nodes depends on the nets alone

@@ -192,6 +192,16 @@ def test_eq_prints_an_exhausted_walk(monkeypatch, capsys):
         1, "exhausted after 11 nodes, no verdict\n", "")
 
 
+def test_eq_walk_past_the_entry_budget_stops_in_seconds():
+    # P against itself passes the walk's 2*10^6 vector entries at depth 33;
+    # without the budget --max-len 100 ran out of memory after 45 s
+    started = perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "counternet.cli", "eq", "zoo:P", "zoo:P", "--max-len", "100"],
+                          capture_output=True, text=True, env=_cli_env(), timeout=60)
+    assert perf_counter() - started < 20
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "exhausted after 51037 nodes, no verdict\n", "")
+
+
 def test_eq_needs_exactly_one_generator(capsys):
     rc, _, err = run(capsys, "eq", "zoo:P", "zoo:P")
     assert rc == 2
@@ -771,6 +781,35 @@ def test_closed_stdout_pipe_keeps_the_exit_code_and_stderr_clean():
     assert proc.wait(timeout=60) == 0
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+class _GonePipe:
+    """A stdout whose reader has left: every write fails, and its
+    descriptor is the write end of a pipe."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_reader_gone_before_the_verdict_keeps_the_exit_code(monkeypatch):
+    read_end, write_end = os.pipe()
+    try:
+        monkeypatch.setattr(sys, "stdout", _GonePipe(write_end))
+        assert main(["check", "zoo:P", "--word", "a # a # b c"]) == 0
+        # the descriptor now writes to the null device: the flush at exit cannot fail again
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+    finally:
+        os.close(read_end)
+        os.close(write_end)
 
 
 # --- import footprint -------------------------------------------------------------------

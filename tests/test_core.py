@@ -35,6 +35,7 @@ from counternet.analysis import all_words, segmented_box
 from counternet.zoo import (
     PartitionKWord,
     SegmentedWord,
+    SelectorWord,
     build_coarse_factors,
     build_paired_dcn,
     build_partition_k,
@@ -42,6 +43,7 @@ from counternet.zoo import (
     build_selector_ncn,
     render_partition_k,
     render_segmented,
+    render_selector,
 )
 
 from randnets import random_cn, random_dcn
@@ -439,23 +441,57 @@ def _accepts_per_letter(net, word, initial=None):
     return frontier_accepts(net, frontier), len(word)
 
 
-def test_accepts_matches_the_per_letter_loop_on_words_of_long_runs(steps):
+def _entering_cn(rng, dim):
+    """A random net where some states take a self-loop as their only
+    transition on a letter and most other transitions on that letter are
+    sent to one of them, so that runs of the letter enter self-loops."""
+    net = random_cn(rng, dim=dim, max_states=3)
+    loops = sorted((q, x) for q in net.states for x in "xy" if rng.random() < 0.5)
+    ts = [Transition(q, x, tuple(rng.randint(-2, 2) for _ in range(dim)), q) for q, x in loops]
+    for t in net.transitions:
+        if (t.source, t.letter) not in loops:
+            ends = [q for q, x in loops if x == t.letter]
+            ts.append(replace(t, target=rng.choice(ends)) if ends and rng.random() < 0.7 else t)
+    return validate(replace(net, transitions=tuple(ts)))
+
+
+@pytest.fixture
+def images(monkeypatch):
+    """The rows core._image is called with from now on."""
+    calls = []
+    real = core_mod._image
+    monkeypatch.setattr(core_mod, "_image", lambda frontier, rows: calls.append(rows) or real(frontier, rows))
+    return calls
+
+
+def _entered(net, images):
+    """Whether one of the rows is a jump (none of the net's own step rows)
+    from a state that does not only loop: a row that leads elsewhere."""
+    return any(all(rows is not r for r in net._step_rows.values())
+               and any(target != state for state, row in rows.items() for target, _, _ in row)
+               for rows in images)
+
+
+def test_accepts_matches_the_per_letter_loop_on_words_of_long_runs(steps, images):
     rng = random.Random(2207)
-    words = jumped = 0
-    for _ in range(800):
+    words = jumped = entered = 0
+    for k in range(1200):
         dim = rng.randint(0, 3)
-        net = random_cn(rng, dim=dim, max_states=3)
+        net = _entering_cn(rng, dim) if k % 3 else random_cn(rng, dim=dim, max_states=3)
         v0 = tuple(rng.randint(0, 3) for _ in range(dim))
         for _ in range(15):
             w = tuple(itertools.chain.from_iterable(
                 (rng.choice("xy"),) * rng.randint(1, 12) for _ in range(rng.randint(1, 6))))
-            steps.clear()
             verdict, taken = _accepts_per_letter(net, w, v0)
+            steps.clear()
+            images.clear()
             assert accepts(net, w, v0) == verdict, (net, w, v0)
             words += 1
             jumped += len(steps) < taken
-    # the jump is taken often enough for the comparison to test it
+            entered += _entered(net, images)
+    # both kinds of jump are taken often enough for the comparison to test them
     assert jumped > words // 10
+    assert entered > words // 10, (jumped, entered, words)
 
 
 def _loop_net(dim, loop, more=(), initial=("q",), accepting=("q",)):
@@ -500,6 +536,88 @@ def test_accepts_steps_a_state_that_does_not_read_the_letter(steps):
     assert accepts(net, ("x",) * 10 + ("y",)) is False
     assert accepts(net, ("x",) * 10)
     assert steps == ["x", "y", "x"]
+
+
+def _entry_net(dim, entry, loop, more=(), initial=("p",), accepting=("q",)):
+    """A net where p enters the self-loop of q on x: p -x-> q with effect
+    entry, q -x-> q with effect loop, plus the transitions more."""
+    ts = (Transition("p", "x", entry, "q"), Transition("q", "x", loop, "q"), *more)
+    return validate(CounterNet("entry", dim, frozenset(t.letter for t in ts), ("p", "q", "r"),
+                               frozenset(initial), frozenset(accepting), ts))
+
+
+def test_accepts_jumps_an_entry_into_a_negative_loop_to_exactly_zero(steps):
+    # 7 - 3 - 4*1 = 0 after x^5; the second counter must cover the entry's -2
+    # before the loop raises it
+    net = _entry_net(2, (-3, -2), (-1, 1))
+    assert accepts(net, ("x",) * 5, initial=(7, 2))
+    assert not accepts(net, ("x",) * 6, initial=(7, 2))
+    assert not accepts(net, ("x",) * 5, initial=(7, 1))
+    # a run whose effect sums to zero still needs the entry's floor
+    back = _entry_net(1, (-2,), (1,))
+    assert not accepts(back, ("x",) * 3, initial=(1,))
+    assert accepts(back, ("x",) * 3, initial=(2,))
+    assert steps == []
+    for v0 in ((7, 2), (7, 1), (8, 3)):
+        for n in range(2, 9):
+            w = ("x",) * n
+            assert accepts(net, w, v0) == _accepts_per_letter(net, w, v0)[0]
+
+
+def test_accepts_jumps_an_entry_into_a_zero_effect_loop(steps):
+    assert accepts(_entry_net(1, (1,), (0,)), ("x",) * 10**5)
+    assert not accepts(_entry_net(1, (-1,), (0,)), ("x",) * 10**5)
+    assert accepts(_entry_net(1, (-1,), (0,)), ("x",) * 10**5, initial=(1,))
+    assert steps == []
+
+
+def test_accepts_jumps_an_entry_in_dimension_0(steps):
+    assert accepts(_entry_net(0, (), ()), ("x",) * 10**5)
+    assert not accepts(_entry_net(0, (), (), accepting=("p",)), ("x",) * 10**5)
+    assert steps == []
+
+
+def test_accepts_merges_two_entries_into_one_loop_state(steps, monkeypatch):
+    # the images (2, 3), (1, 3) and (0, 6) meet at q: (1, 3) is dominated
+    more = (Transition("r", "x", (1, 0), "q"), Transition("r", "x", (0, 3), "q"))
+    net = _entry_net(2, (2, 0), (0, 1), more=more, initial=("p", "r"))
+    results = []
+    real = core_mod._image
+    monkeypatch.setattr(core_mod, "_image", lambda frontier, rows: results.append(real(frontier, rows)) or results[-1])
+    assert accepts(net, ("x",) * 4)
+    assert steps == []
+    assert results == [{"q": {(2, 3), (0, 6)}}]
+    frontier = initial_frontier(net)
+    for _ in range(4):
+        frontier = step_frontier(net, frontier, "x")
+    assert frontier == results[0]
+
+
+def test_accepts_steps_an_entry_into_a_state_with_a_second_transition_on_its_letter(steps):
+    # q loops on x and also leaves for r, so p and q step every letter
+    more = (Transition("q", "x", (-1,), "r"), Transition("r", "x", (0,), "r"))
+    net = _entry_net(1, (1,), (0,), more=more, accepting=("r",))
+    for n in range(1, 8):
+        w = ("x",) * n
+        steps.clear()
+        assert accepts(net, w) == (n >= 2) == _accepts_per_letter(net, w)[0]
+        assert steps == ["x"] * n
+
+
+@pytest.mark.parametrize("net, params, render, stepped", [
+    (build_partition_net, SegmentedWord((3, 5, 7, 9, 11, 13, 15, 17), 17, 63), render_segmented, ["#"] * 8),
+    (build_partition_net, SegmentedWord((500, 700, 600), 1200, 600), render_segmented, ["#"] * 3),
+    (lambda: build_partition_k(3), PartitionKWord((2, 3, 4, 5, 6), (8, 7, 5)),
+     lambda w: render_partition_k(3, w), ["#"] * 7),
+    (lambda: build_selector_ncn(3), SelectorWord((450, 500, 550), 3, 450),
+     lambda w: render_selector(3, w), ["b_3"]),
+], ids=["P 8-segment", "P 3-segment long", "PkConj(3)", "L3.ncn long"])
+def test_accepts_steps_member_words_only_between_their_runs(steps, net, params, render, stepped):
+    """The long member words of the benchmark's deep workload: each block
+    of one letter is entered by a branching transition and then loops, so
+    only the letters between blocks are stepped."""
+    assert accepts(net(), render(params))
+    assert steps == stepped
 
 
 def test_naive_agrees_on_partition_samples():

@@ -41,6 +41,16 @@ def test_unknown_names_raise_attribute_error():
         exec("from counternet import nope", {})
 
 
+def test_dir_lists_every_name_before_it_is_resolved(monkeypatch):
+    # a name resolves into the module's globals on first access: unbind one
+    # export and one submodule so only the module's own __dir__ lists them
+    for name in ("accepts", "vas"):
+        monkeypatch.delitem(vars(counternet), name, raising=False)
+    listed = dir(counternet)
+    assert listed == sorted(listed)
+    assert {*counternet.__all__, *SUBMODULES} <= set(listed)
+
+
 def test_bare_import_loads_no_submodule_until_one_is_named():
     # a fresh interpreter: this one has imported every module already
     script = ("import sys, counternet\n"

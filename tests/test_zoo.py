@@ -53,6 +53,13 @@ def test_parse_render_roundtrip():
         assert parse_segmented(render_segmented(sw)) == sw
 
 
+@pytest.mark.parametrize("params", [((-1,), 0, 0), ((1, 2), -1, 0), ((), 0, -1)],
+                         ids=["segment", "m_b", "m_c"])
+def test_segmented_word_refuses_a_negative_parameter(params):
+    with pytest.raises(ValueError, match="must be non-negative"):
+        SegmentedWord(*params)
+
+
 def test_parse_segmented_rejects_missing_terminator():
     with pytest.raises(ValueError) as err:
         parse_segmented(word("aab"))
@@ -316,6 +323,14 @@ def test_partition_k_oracle_matches_bruteforce():
     ]
     for k, pw in cases:
         assert partition_k_oracle(k, pw) == partition_k_oracle_bruteforce(k, pw), (k, pw)
+
+
+def test_partition_k_oracles_accept_every_word_of_k_0():
+    # with no demands every assignment of the segments satisfies them, even
+    # though there is none to try when there are segments
+    for segments in ((), (2, 1)):
+        pw = PartitionKWord(segments, ())
+        assert partition_k_oracle(0, pw) and partition_k_oracle_bruteforce(0, pw)
 
 
 @settings(max_examples=200)
