@@ -769,7 +769,8 @@ def compare_nets_walk(a: CounterNet, b: CounterNet, max_len: int, node_cap: int 
     queued node is (ia, ib, parent node, last letter); its prefix is
     spelled out only for a mismatch.  The walk is "exhausted" past
     node_cap nodes, or when it would start a depth while the graphs hold
-    more than _WALK_BUDGET vector entries (FrontierGraph.entries).
+    more than _WALK_BUDGET vector entries (FrontierGraph.held, which each
+    graph adds to as it interns a frontier).
     """
     if max_len < 0:
         raise ValueError(f"word length bound must be >= 0, got {max_len}")
@@ -780,13 +781,9 @@ def compare_nets_walk(a: CounterNet, b: CounterNet, max_len: int, node_cap: int 
     gb = ga if b == a else FrontierGraph(b)
     seen = {(0, 0)}
     queue = [(0, 0, None, None)]
-    checked = depth = held = 0
-    counted = {ga: 0, gb: 0}  # graph -> its frontiers in held; one key when gb is ga
+    checked = depth = 0
     while queue:
-        for g, done in counted.items():
-            held += g.entries(done)
-            counted[g] = len(g.frontiers)
-        if held > _WALK_BUDGET:
+        if ga.held + (gb.held if gb is not ga else 0) > _WALK_BUDGET:
             return ComparisonReport("exhausted", None, None, checked)
         next_queue = []
         for node in queue:

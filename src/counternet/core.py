@@ -13,14 +13,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import groupby
 from operator import add, ge
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 Word = tuple[str, ...]
 Vector = tuple[int, ...]
 Frontier = dict[str, frozenset[Vector]]
-Row = tuple[str, Optional[Vector], Optional[Vector]]  # (target, effect, floor): see CounterNet._step_rows
+Row = tuple[str, Optional[Vector], Optional[Vector]]  # (target, effect, floor): see _run_row
 
 
 class InvalidNetError(ValueError):
@@ -94,18 +94,11 @@ class CounterNet:
 
     @cached_property
     def _step_rows(self) -> dict[str, dict[str, tuple[Row, ...]]]:
-        """step_table as the (target, effect, floor) rows step_frontier
-        reads, letter first (letter -> state -> rows), built on first use:
-        effect is None when it is all zeros, floor is the least vector the
-        effect keeps non-negative, None when no coordinate of the effect is
-        negative."""
+        """step_table as the rows (_run_row with no loop turns) step_frontier
+        reads, letter first (letter -> state -> rows), built on first use."""
         rows: dict[str, dict[str, tuple]] = {}
         for (state, letter), ts in self.step_table.items():
-            rows.setdefault(letter, {})[state] = tuple(
-                (t.target,
-                 t.effect if any(t.effect) else None,
-                 tuple(max(0, -e) for e in t.effect) if min(t.effect, default=0) < 0 else None)
-                for t in ts)
+            rows.setdefault(letter, {})[state] = tuple(_run_row(t.target, t.effect, t.effect, 0) for t in ts)
         return rows
 
     @cached_property
@@ -349,10 +342,13 @@ def _image(frontier: Frontier, rows: dict[str, tuple[Row, ...]]) -> Frontier:
 
 
 def _run_row(target: str, effect: Vector, loop: Vector, more: int) -> Row:
-    """The row of one transition followed by more turns of the self-loop at
-    its target: effect + more*loop, on the vectors v with v + effect >= 0
-    and v + effect + more*loop >= 0.  A zero effect with a floor stays a
-    vector, so that the floor still filters."""
+    """The (target, effect, floor) row of one transition followed by more
+    turns of the self-loop at its target: effect + more*loop, on the
+    vectors v with v + effect >= 0 and v + effect + more*loop >= 0.  The
+    effect is None when it is all zeros and there is no floor, the floor
+    None when it is all zeros; a zero effect with a floor stays a vector,
+    so that the floor still filters.  With more = 0, whatever the loop, it
+    is the transition's step row: the only code that encodes a row."""
     shift = tuple(e + more * f for e, f in zip(effect, loop))
     floor = tuple(max(0, more * max(0, -f) - e) for e, f in zip(effect, loop))
     if any(floor):
@@ -399,25 +395,23 @@ def accepts(net: CounterNet, word: Sequence[str], initial: Optional[Sequence[int
     two states that enter one loop with _maximal gives the frontier that
     stepping and then looping gives.  Any other letter is stepped with
     step_frontier, and the test is made again at the next one.
+
+    The runs of the word are taken with itertools.groupby, which finds
+    where each one ends in C, whatever its length.
     """
     frontier = initial_frontier(net, initial)
-    w = tuple(word)
-    n = len(w)
     loops, runs = net._loop_states, net._run_rows
-    i = 0
-    while i < n:
-        x = w[i]
-        j = i + 1
-        if j < n and w[j] == x and x in loops and frontier.keys() <= loops[x].keys():
-            j += 1
-            while j < n and w[j] == x:
-                j += 1
-            frontier = _image(frontier, {state: runs(x, j - i, state) for state in frontier})
-        else:
-            frontier = step_frontier(net, frontier, x)
-        if not frontier:
-            return False
-        i = j
+    for x, group in groupby(word):
+        n = len(list(group))
+        while n:
+            if n > 1 and x in loops and frontier.keys() <= loops[x].keys():
+                frontier = _image(frontier, {state: runs(x, n, state) for state in frontier})
+                n = 0
+            else:
+                frontier = step_frontier(net, frontier, x)
+                n -= 1
+            if not frontier:
+                return False
     return frontier_accepts(net, frontier)
 
 
@@ -434,7 +428,9 @@ class FrontierGraph:
     they are derived once per state set and frontiers with the same states
     share one reads object.  Counters that grow with the word give
     unboundedly many frontiers, yet never more than the distinct prefixes
-    decided.  The graph lives as long as the object.
+    decided.  The graph lives as long as the object.  held counts the
+    vector entries of the frontiers interned so far, a vector counting 1 +
+    dimension: the measure of the budgets on a graph's memory.
     """
 
     def __init__(self, net: CounterNet, initial: Optional[Sequence[int]] = None):
@@ -445,6 +441,7 @@ class FrontierGraph:
         self._ids: dict[frozenset, int] = {}
         self._succ: list[dict[str, int]] = []
         self._by_states: dict[frozenset[str], tuple[bool, frozenset[str]]] = {}
+        self.held, self._width = 0, 1 + net.dimension  # _width: the entries of one vector
         self._intern(initial_frontier(net, initial))
 
     def _intern(self, frontier: Frontier) -> int:
@@ -453,6 +450,8 @@ class FrontierGraph:
         if i is None:
             i = self._ids[key] = len(self.frontiers)
             self.frontiers.append(frontier)
+            for vectors in frontier.values():
+                self.held += self._width * len(vectors)
             states = frozenset(frontier)
             derived = self._by_states.get(states)
             if derived is None:
@@ -463,12 +462,6 @@ class FrontierGraph:
             self.reads.append(derived[1])
             self._succ.append({})
         return i
-
-    def entries(self, start: int = 0) -> int:
-        """The vector entries of frontiers[start:], a vector counting 1 +
-        dimension: the measure of the budgets on a graph's memory."""
-        vector_sets = chain.from_iterable(map(dict.values, self.frontiers[start:]))
-        return (1 + self.net.dimension) * sum(map(len, vector_sets))
 
     def step(self, i: int, letter: str) -> int:
         succ = self._succ[i]
@@ -494,8 +487,8 @@ class FrontierGraph:
         it reads whose successor frontier is not empty.  Each frontier's
         live edges are listed once per call, in sorted letter order, and
         kept only for the call.  Raises SweepLimitError once the prefixes
-        visited hold more than _WORDS_BUDGET letters, or the frontiers the
-        call interns more than _FRONTIERS_BUDGET vector entries."""
+        visited hold more than _WORDS_BUDGET letters, or held grows by more
+        than _FRONTIERS_BUDGET vector entries in the call."""
         if max_len < 0:
             raise ValueError(f"word length bound must be >= 0, got {max_len}")
         letters = sorted(self.net.alphabet)
@@ -503,7 +496,7 @@ class FrontierGraph:
         found: set[Word] = set()
         stack: list[tuple[int, Word]] = [(0, ())]
         visited = 0  # letters of the prefixes popped so far
-        entries = 0  # of the frontiers interned so far
+        start = self.held  # vector entries held when the call began
         while stack:
             i, word = stack.pop()
             visited += len(word)
@@ -515,11 +508,10 @@ class FrontierGraph:
             if len(word) < max_len:
                 edges = live.get(i)
                 if edges is None:
-                    reads, fresh = self.reads[i], len(self.frontiers)
+                    reads = self.reads[i]
                     steps = ((x, self.step(i, x)) for x in letters if x in reads)
                     edges = live[i] = [(x, j) for x, j in steps if self.frontiers[j]]
-                    entries += self.entries(fresh)
-                    if entries > _FRONTIERS_BUDGET:
+                    if self.held - start > _FRONTIERS_BUDGET:
                         raise SweepLimitError(f"the frontiers of the words up to length {max_len} pass "
                                               f"the budget of {_FRONTIERS_BUDGET} vector entries")
                 stack.extend((j, word + (x,)) for x, j in edges)

@@ -175,5 +175,5 @@ def parse_word(text: str) -> Word:
 def render_word_text(word: Word) -> str:
     """The word in tok^N notation: a run of two or more equal letters
     becomes tok^N, the empty word the empty string."""
-    runs = ((tok, sum(1 for _ in group)) for tok, group in groupby(word))
+    runs = ((tok, len(list(group))) for tok, group in groupby(word))
     return " ".join(tok if n == 1 else f"{tok}^{n}" for tok, n in runs)

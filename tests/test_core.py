@@ -30,8 +30,10 @@ from counternet.core import (
     step_frontier,
     validate,
 )
+import counternet.analysis as analysis_mod
 import counternet.core as core_mod
-from counternet.analysis import all_words, segmented_box
+import counternet.zoo as zoo
+from counternet.analysis import all_words, compare_nets_walk, segmented_box
 from counternet.zoo import (
     PartitionKWord,
     SegmentedWord,
@@ -793,6 +795,37 @@ def test_step_table_is_kept_on_the_net_and_ignored_by_equality():
     assert twin.step_table == table and twin.step_table is not table
 
 
+def _step_rows_by_hand(net):
+    """The step rows written out on their own, as CounterNet._step_rows
+    built them before it used _run_row: the reference it is checked
+    against."""
+    rows = {}
+    for (state, letter), ts in net.step_table.items():
+        rows.setdefault(letter, {})[state] = tuple(
+            (t.target,
+             t.effect if any(t.effect) else None,
+             tuple(max(0, -e) for e in t.effect) if min(t.effect, default=0) < 0 else None)
+            for t in ts)
+    return rows
+
+
+def _in_order(rows):
+    return [(letter, list(by_state.items())) for letter, by_state in rows.items()]
+
+
+def test_step_rows_match_the_hand_written_rows_on_random_and_zoo_nets():
+    rng = random.Random(25)
+    nets = [random_cn(rng, dim=dim, max_states=5) for dim in (0, 1, 2, 3) for _ in range(100)]
+    nets += [net for k in (1, 2, 3) for family in zoo.FAMILIES.values() for net in family(k).values()]
+    kinds = set()
+    for net in nets:
+        assert _in_order(net._step_rows) == _in_order(_step_rows_by_hand(net)), net
+        kinds.update((effect is None, floor is None) for by_state in net._step_rows.values()
+                     for rows in by_state.values() for _, effect, floor in rows)
+    # zero effects, non-negative ones and ones with a floor all occur
+    assert kinds == {(True, True), (False, True), (False, False)}
+
+
 # --- run enumeration ----------------------------------------------------
 
 def test_enumerate_accepting_runs_counts_split_choices():
@@ -1058,3 +1091,33 @@ def test_frontier_graph_words_past_the_frontiers_budget_are_refused(monkeypatch)
     with pytest.raises(SweepLimitError, match="^the frontiers of the words up to length 5 pass the budget "
                                               "of 9 vector entries$"):
         FrontierGraph(up).words(5)
+
+
+def _entries(graph):
+    """The vector entries of every frontier the graph holds, a vector
+    counting 1 + dimension, recounted from graph.frontiers."""
+    return (1 + graph.net.dimension) * sum(len(vs) for f in graph.frontiers for vs in f.values())
+
+
+def test_frontier_graph_held_counts_the_entries_of_its_frontiers(monkeypatch):
+    rng = random.Random(2307)
+    for _ in range(30):
+        net = random_cn(rng, dim=rng.randint(0, 3), max_states=4)
+        graph = FrontierGraph(net)
+        assert graph.held == _entries(graph) == (1 + net.dimension) * len(net.initial)
+        graph.words(5)
+        assert graph.held == _entries(graph)
+    p = build_partition_net()
+    graph = FrontierGraph(p)
+    for item in segmented_box(3, 4):
+        graph.accepts(item.word)
+    assert len(graph.frontiers) > 100 and graph.held == _entries(graph)
+    # the walk's graphs: one for P against itself, two for P against a copy
+    made = []
+    monkeypatch.setattr(analysis_mod, "FrontierGraph", lambda net: made.append(FrontierGraph(net)) or made[-1])
+    for other, graphs in ((p, 1), (replace(p, name="copy"), 2)):
+        made.clear()
+        assert compare_nets_walk(p, other, 10).verdict == "equal"
+        assert len(made) == graphs
+        for g in made:
+            assert len(g.frontiers) > 100 and g.held == _entries(g)
