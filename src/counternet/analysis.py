@@ -477,28 +477,6 @@ class GenItem(NamedTuple):
     params: object = None
 
 
-@dataclass(frozen=True)
-class AllWords:
-    """Generator of every word up to max_len, graded lexicographic, with
-    log10 and size() as a WordBox has them."""
-
-    alphabet: tuple[str, ...]
-    max_len: int
-
-    @property
-    def log10(self) -> float:
-        return _log10_geometric(len(self.alphabet), self.max_len)
-
-    def size(self) -> Union[int, float]:
-        return _geometric(len(self.alphabet), self.max_len) if self.log10 < _DIGITS else math.inf
-
-    def __iter__(self) -> Iterator[GenItem]:
-        letters = sorted(self.alphabet)
-        for length in range(self.max_len + 1):
-            for combo in itertools.product(letters, repeat=length):
-                yield GenItem(combo)
-
-
 def _geometric(base: int, top: int) -> int:
     """sum(base ** i for i in range(top + 1)), with one power."""
     return top + 1 if base == 1 else (base ** (top + 1) - 1) // (base - 1)
@@ -526,12 +504,6 @@ def _log10_power(base: int, exponent: int) -> float:
 _DIGITS = 4300
 
 
-def all_words(alphabet: Iterable[str], max_len: int) -> AllWords:
-    if max_len < 0:
-        raise ValueError(f"word length bound must be >= 0, got {max_len}")
-    return AllWords(tuple(sorted(set(alphabet))), max_len)
-
-
 @dataclass(frozen=True)
 class WordBox:
     """A finite word generator of count() words, a number whose base-10
@@ -546,6 +518,29 @@ class WordBox:
 
     def __iter__(self) -> Iterator[GenItem]:
         return self.items()
+
+
+@dataclass(frozen=True)
+class AllWords(WordBox):
+    """The box of every word over alphabet (sorted, without repeats) up
+    to max_len, graded lexicographic, on which bounded_compare may walk."""
+
+    alphabet: tuple[str, ...]
+    max_len: int
+
+
+def all_words(alphabet: Iterable[str], max_len: int) -> AllWords:
+    if max_len < 0:
+        raise ValueError(f"word length bound must be >= 0, got {max_len}")
+    letters = tuple(sorted(set(alphabet)))
+
+    def items() -> Iterator[GenItem]:
+        for length in range(max_len + 1):
+            for combo in itertools.product(letters, repeat=length):
+                yield GenItem(combo)
+
+    return AllWords(_log10_geometric(len(letters), max_len), lambda: _geometric(len(letters), max_len), items,
+                    letters, max_len)
 
 
 # The boxes join each word from letter blocks, blocks[n] = (letter,) * n
@@ -661,7 +656,7 @@ def paired_box(k: int, cap: int) -> WordBox:
 
 # The word box families by name, each with the argument counts its
 # constructor takes; all_words also takes the alphabet first.
-BOXES: dict[str, tuple[Callable[..., Iterable[GenItem]], tuple[int, ...]]] = {
+BOXES: dict[str, tuple[Callable[..., WordBox], tuple[int, ...]]] = {
     "words": (all_words, (1,)),
     "segmented": (segmented_box, (2, 4)),
     "triple": (triple_box, (1,)),

@@ -36,10 +36,10 @@ class SweepLimitError(RuntimeError):
     cap or letter budget."""
 
 
-# the most letters of prefixes one FrontierGraph.words call visits:
-# verify_pipeline then holds about 25 bytes per labelled letter (CPython
-# 3.11, x86-64), so `vasify zoo:Hk --k 1 --report --max-len 260`, just
-# under it, peaks at 91 MB
+# the most letters of prefixes one FrontierGraph.words call visits; what
+# that costs depends on the net (CPython 3.11, x86-64): `vasify zoo:Hk --k 1
+# --report --max-len 260`, just under it, peaks at 91 MB, and `vasify zoo:Hk
+# --k 12 --report` passes it in the flat walk and exits 2 after 4 s at 171 MB
 _WORDS_BUDGET = 3 * 10**6
 # the most vector entries (a vector counts 1 + dimension) of the frontiers
 # one FrontierGraph.words call interns: counters that grow with the word

@@ -281,12 +281,7 @@ class PipelineReport:
     stats: dict
 
 
-def verify_pipeline(
-    net: CounterNet,
-    max_len: int = 6,
-    flat_len: int = 7,
-    explore_depth: int = 12,
-) -> PipelineReport:
+def verify_pipeline(net: CounterNet, max_len: int = 6, flat_len: int = 7) -> PipelineReport:
     """Run both pipeline stages on a deterministic net and cross-check.
 
     labelled_matches: the relabelled net's bounded language maps back
@@ -295,8 +290,8 @@ def verify_pipeline(
     expansion are accepted by the flattened net.  extra_members: words
     the flattened net accepts that are not phase prefixes of protocol
     expansions; these are inherent to the flattening and only reported.
-    gating: pattern and enabled-letter discipline over the reachable
-    valuations.
+    gating: pattern and enabled-letter discipline over the valuations
+    check_gating reaches at its default depth.
     """
     if max_len < 0:
         raise ValueError(f"word length bound must be >= 0, got {max_len}")
@@ -320,7 +315,7 @@ def verify_pipeline(
         for stop in (1, 2, 3):
             if not w and stop > 1:
                 continue
-            pref = triplet_transform(w, stop) if w else ()
+            pref = triplet_transform(w, stop)
             expanded += 1
             if len(pref) <= flat_len:
                 short.add(pref)
@@ -330,7 +325,7 @@ def verify_pipeline(
     flat_words = flat.words(flat_len)
     extras = [w for w in flat_words if w not in short]
 
-    violations, visited, complete = check_gating(result, explore_depth)
+    violations, visited, complete = check_gating(result)
     return PipelineReport(
         labelled_matches=labelled_matches,
         containment_ok=not failures,

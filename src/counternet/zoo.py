@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Collection, Optional, Sequence
 
 from .core import CounterNet, Transition, Word, _collected_order, validate
@@ -323,20 +323,12 @@ def build_selector_ncn(k: int) -> CounterNet:
                 ts.append(Transition(f"g{i}_blk{j}", f"a_{l}", (1,) if l == i else (0,), f"g{i}_blk{l}"))
             ts.append(Transition(f"g{i}_blk{j}", f"b_{i}", (0,), "drain"))
     ts.append(Transition("drain", "c", (-1,), "drain"))
-    alphabet = {f"a_{i}" for i in range(1, k + 1)} | {f"b_{i}" for i in range(1, k + 1)} | {"c"}
-    # not _net: the states are guess-major (g1_blk1 ... g1_blkk, g2_blk1 ...),
-    # where the collected order would put the k initial states g1_blk1 ...
-    # gk_blk1 first, and state order is output (emitted files, the order runs
-    # are enumerated in)
-    return validate(CounterNet(
-        name=f"selector_ncn_{k}",
-        dimension=1,
-        alphabet=alphabet,
-        states=tuple(states),
-        initial=tuple(f"g{i}_blk1" for i in range(1, k + 1)),
-        accepting=("drain",),
-        transitions=tuple(ts),
-    ))
+    # the states stay guess-major (g1_blk1 ... g1_blkk, g2_blk1 ...), where
+    # the collected order would put the k initial states g1_blk1 ... gk_blk1
+    # first, and state order is output (emitted files, the order runs are
+    # enumerated in)
+    net = _net(f"selector_ncn_{k}", [f"g{i}_blk1" for i in range(1, k + 1)], ("drain",), ts)
+    return replace(net, states=tuple(states))
 
 
 def build_paired_dcn(k: int) -> CounterNet:

@@ -704,6 +704,63 @@ def test_all_words_size_is_the_count(letters, max_len):
     assert all_words(letters, max_len).size() == sum(len(letters) ** n for n in range(max_len + 1))
 
 
+class _ListedAllWords:
+    """The all-words generator as it was written before it was a WordBox:
+    its own log10, size() and __iter__, kept as the reference."""
+
+    def __init__(self, alphabet, max_len):
+        self.alphabet, self.max_len = tuple(sorted(set(alphabet))), max_len
+
+    @property
+    def log10(self):
+        return analysis._log10_geometric(len(self.alphabet), self.max_len)
+
+    def size(self):
+        return analysis._geometric(len(self.alphabet), self.max_len) if self.log10 < analysis._DIGITS else inf
+
+    def __iter__(self):
+        letters = sorted(self.alphabet)
+        for length in range(self.max_len + 1):
+            for combo in cartesian(letters, repeat=length):
+                yield analysis.GenItem(combo)
+
+
+_ALPHABETS = ["", "a", "ba", "abc", "cab", "aab", ["b", "a", "b"], ("c", "c", "c"), {"x", "y"}]
+
+
+@pytest.mark.parametrize("letters", _ALPHABETS)
+@pytest.mark.parametrize("max_len", range(6))
+def test_all_words_matches_the_listed_reference(letters, max_len):
+    box, ref = all_words(letters, max_len), _ListedAllWords(letters, max_len)
+    assert (box.alphabet, box.max_len) == (ref.alphabet, max_len)
+    items = list(box)
+    assert items == list(ref) and all(type(item) is analysis.GenItem for item in items)
+    assert (box.size(), box.log10) == (ref.size(), ref.log10)
+
+
+@pytest.mark.parametrize("letters", _ALPHABETS)
+@pytest.mark.parametrize("max_len", [10**6, 10**309])
+def test_all_words_sizes_of_long_words_match_the_reference(letters, max_len):
+    box, ref = all_words(letters, max_len), _ListedAllWords(letters, max_len)
+    assert isinstance(box, analysis.WordBox)
+    assert (box.size(), box.log10) == (ref.size(), ref.log10)
+
+
+@pytest.mark.parametrize("a, b, max_len", [
+    (build_partition_net(), build_partition_net(), 6),
+    (*build_coarse_factors(), 6),
+    (build_partition_net(), project(build_partition_net(), 1), 6),
+])
+def test_bounded_compare_on_all_words_walks(a, b, max_len):
+    words = all_words(a.alphabet, max_len)
+    walked = bounded_compare(a, b, words)
+    assert walked == compare_nets_walk(a, b, max_len)
+    # a sweep of the listed words decides the same but checks words, not walk nodes
+    swept = bounded_compare(a, b, list(words))
+    assert (swept.verdict, swept.counterexample) == (walked.verdict, walked.counterexample)
+    assert swept.checked != walked.checked
+
+
 def test_a_count_is_exact_up_to_4300_digits():
     # past 4,300 digits a count is told by its logarithm and never built
     assert all_words("0123456789", 4299).size() == (10**4300 - 1) // 9

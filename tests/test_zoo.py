@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import fields
 from itertools import product
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from counternet.analysis import bounded_compare, paired_box, segmented_box, selector_box
-from counternet.core import accepts, is_deterministic
+from counternet.core import CounterNet, Transition, accepts, is_deterministic, validate
 from counternet.fileformat import emit_machine_file, parse_machine_file
 from counternet.zoo import (
     FAMILIES,
@@ -274,6 +275,38 @@ def test_selector_nets_reject_malformed():
         assert not accepts(net, ("c",))
         assert not accepts(net, ("b_1", "b_2"))
         assert accepts(net, ("b_2",))                    # empty blocks, empty tail
+
+
+def _hand_built_selector_ncn(k):
+    """build_selector_ncn as it was written before it went through the zoo's
+    one builder: its CounterNet spelled out field by field, kept as the
+    reference."""
+    states = [f"g{i}_blk{j}" for i in range(1, k + 1) for j in range(1, k + 1)] + ["drain"]
+    ts = []
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):
+            for l in range(j, k + 1):
+                ts.append(Transition(f"g{i}_blk{j}", f"a_{l}", (1,) if l == i else (0,), f"g{i}_blk{l}"))
+            ts.append(Transition(f"g{i}_blk{j}", f"b_{i}", (0,), "drain"))
+    ts.append(Transition("drain", "c", (-1,), "drain"))
+    alphabet = {f"a_{i}" for i in range(1, k + 1)} | {f"b_{i}" for i in range(1, k + 1)} | {"c"}
+    return validate(CounterNet(
+        name=f"selector_ncn_{k}",
+        dimension=1,
+        alphabet=alphabet,
+        states=tuple(states),
+        initial=tuple(f"g{i}_blk1" for i in range(1, k + 1)),
+        accepting=("drain",),
+        transitions=tuple(ts),
+    ))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_selector_ncn_matches_the_hand_built_reference(k):
+    net, ref = build_selector_ncn(k), _hand_built_selector_ncn(k)
+    for f in fields(CounterNet):
+        assert getattr(net, f.name) == getattr(ref, f.name), f.name
+    assert emit_machine_file([net]).encode() == emit_machine_file([ref]).encode()
 
 
 # --- paired family ------------------------------------------------------
