@@ -40,6 +40,7 @@ from .zoo import (
     SelectorWord,
     partition_oracle,
     render_segmented,
+    segmented_runs,
 )
 
 SIGN_POSITIVE = "strictly-positive"
@@ -295,14 +296,9 @@ def _span_colour(run: Run, lo: int, hi: int) -> SpanColour:
 def segment_spans(word: SegmentedWord) -> tuple[list[tuple[int, int]], tuple[int, int], tuple[int, int]]:
     """Configuration index ranges of each a-segment, the b block and the
     c block, with the '#' delimiters excluded from every span."""
-    spans: list[tuple[int, int]] = []
-    pos = 0
-    for m in word.segments:
-        spans.append((pos, pos + m))
-        pos += m + 1  # the '#'
-    b_span = (pos, pos + word.m_b)
-    pos += word.m_b
-    c_span = (pos, pos + word.m_c)
+    runs = segmented_runs(word)
+    ends = itertools.accumulate(n for _, n in runs)
+    *spans, b_span, c_span = [(end - n, end) for (x, n), end in zip(runs, ends) if x != "#"]
     return spans, b_span, c_span
 
 
@@ -439,7 +435,7 @@ def grow_word(word: SegmentedWord, segment: int, dx: int, dy: int, dz: int) -> S
 
 def _letters(w: SegmentedWord) -> int:
     """The length of render_segmented(w), without rendering it."""
-    return sum(w.segments) + len(w.segments) + w.m_b + w.m_c
+    return sum(n for _, n in segmented_runs(w))
 
 
 def find_pump_family(

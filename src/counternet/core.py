@@ -13,9 +13,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import groupby
-from operator import add, ge
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from itertools import chain, groupby, repeat, starmap
+from operator import add, countOf, ge
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 Word = tuple[str, ...]
 Vector = tuple[int, ...]
@@ -171,6 +171,20 @@ def _collected_order(init, transitions, accept) -> tuple[str, ...]:
     targets, then accept states, each where it first appears."""
     return tuple(dict.fromkeys([*init, *(s for t in transitions for s in (t.source, t.target)),
                                 *accept]))
+
+
+def _runs(word: Iterable[str]) -> Iterator[tuple[str, int]]:
+    """The runs of word, (letter, count) per longest block of one letter:
+    no count is 0 and no two neighbours share a letter.  groupby finds
+    each run and countOf counts it, in C and without a list of the run."""
+    for x, group in groupby(word):
+        yield x, countOf(group, x)  # a run's letters all equal x
+
+
+def _spell(pairs: Iterable[tuple[str, int]]) -> Word:
+    """The word of (letter, count) pairs, the inverse of _runs; a count of
+    0 spells nothing and neighbours may share a letter."""
+    return tuple(chain.from_iterable(starmap(repeat, pairs)))
 
 
 def validate(net: CounterNet) -> CounterNet:
@@ -395,17 +409,13 @@ def accepts(net: CounterNet, word: Sequence[str], initial: Optional[Sequence[int
     two states that enter one loop with _maximal gives the frontier that
     stepping and then looping gives.  Any other letter is stepped with
     step_frontier, and the test is made again at the next one.
-
-    The runs of the word are taken with itertools.groupby, which finds
-    where each one ends in C, whatever its length.
     """
     frontier = initial_frontier(net, initial)
-    loops, runs = net._loop_states, net._run_rows
-    for x, group in groupby(word):
-        n = len(list(group))
+    loops, run_rows = net._loop_states, net._run_rows
+    for x, n in _runs(word):
         while n:
             if n > 1 and x in loops and frontier.keys() <= loops[x].keys():
-                frontier = _image(frontier, {state: runs(x, n, state) for state in frontier})
+                frontier = _image(frontier, {state: run_rows(x, n, state) for state in frontier})
                 n = 0
             else:
                 frontier = step_frontier(net, frontier, x)

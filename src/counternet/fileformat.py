@@ -27,9 +27,7 @@ invert each other on every word over a valid alphabet.
 
 from __future__ import annotations
 
-from itertools import groupby
-
-from .core import CounterNet, Transition, Word, _collected_order, validate
+from .core import CounterNet, Transition, Word, _collected_order, _runs, _spell, validate
 
 # the most letters parse_word expands a word to: tok^N costs memory for
 # N letters, which a short argument must not exhaust
@@ -154,7 +152,8 @@ def parse_word(text: str) -> Word:
     """Whitespace-separated letters; tok^N repeats tok N times.  Raises
     ValueError for a word of more than WORD_BUDGET letters, before
     building it."""
-    out: list[str] = []
+    pairs: list[tuple[str, int]] = []
+    letters = 0
     for tok in text.split():
         base, sep, exp = tok.rpartition("^")
         if sep and base:
@@ -166,14 +165,14 @@ def parse_word(text: str) -> Word:
                 raise ValueError(f"negative repeat count in {tok!r}")
         else:
             base, n = tok, 1
-        if len(out) + n > WORD_BUDGET:
+        letters += n
+        if letters > WORD_BUDGET:
             raise ValueError(f"word has more than {WORD_BUDGET} letters")
-        out.extend([base] * n)
-    return tuple(out)
+        pairs.append((base, n))
+    return _spell(pairs)
 
 
 def render_word_text(word: Word) -> str:
     """The word in tok^N notation: a run of two or more equal letters
     becomes tok^N, the empty word the empty string."""
-    runs = ((tok, len(list(group))) for tok, group in groupby(word))
-    return " ".join(tok if n == 1 else f"{tok}^{n}" for tok, n in runs)
+    return " ".join(tok if n == 1 else f"{tok}^{n}" for tok, n in _runs(word))

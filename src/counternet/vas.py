@@ -132,7 +132,7 @@ def vasify(net: CounterNet) -> VasResult:
     transitions: list[Transition] = []
     triplets: list[TripletInfo] = []
     for t in net.transitions:
-        letters = (f"{t.letter}_1", f"{t.letter}_2", f"{t.letter}_3")
+        letters = triplet_transform((t.letter,))
         path = control[t.source] + control[t.target][:1]
         for letter, before, after, x in zip(letters, path, path[1:], (zeros, zeros, t.effect)):
             effect = x + tuple(b - a for a, b in zip(before, after))

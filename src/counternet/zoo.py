@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Callable, Collection, Optional, Sequence
 
-from .core import CounterNet, Transition, Word, _collected_order, validate
+from .core import CounterNet, Transition, Vector, Word, _collected_order, _spell, validate
 
 SEGMENT_ALPHABET = frozenset({"a", "b", "c", "#"})
 
@@ -66,14 +66,15 @@ class PartitionKWord:
     demands: tuple[int, ...]
 
 
+def segmented_runs(w: SegmentedWord) -> tuple[tuple[str, int], ...]:
+    """The segmented word as (letter, count) runs: each segment's a-run and
+    its '#', then the b run and the c run, with zero counts kept."""
+    segments = [run for m in w.segments for run in (("a", m), ("#", 1))]
+    return (*segments, ("b", w.m_b), ("c", w.m_c))
+
+
 def render_segmented(w: SegmentedWord) -> Word:
-    out: list[str] = []
-    for m in w.segments:
-        out.extend(["a"] * m)
-        out.append("#")
-    out.extend(["b"] * w.m_b)
-    out.extend(["c"] * w.m_c)
-    return tuple(out)
+    return _spell(segmented_runs(w))
 
 
 # the segmented shape, and the longest prefix some segmented word extends
@@ -104,38 +105,25 @@ def parse_segmented(word: Sequence[str]) -> SegmentedWord:
 def render_selector(k: int, w: SelectorWord) -> Word:
     if len(w.blocks) != k or not 1 <= w.choice <= k:
         raise ValueError("selector word does not match k")
-    out: list[str] = []
-    for i, n in enumerate(w.blocks, start=1):
-        out.extend([f"a_{i}"] * n)
-    out.append(f"b_{w.choice}")
-    out.extend(["c"] * w.tail)
-    return tuple(out)
+    blocks = ((f"a_{i}", n) for i, n in enumerate(w.blocks, start=1))
+    return _spell([*blocks, (f"b_{w.choice}", 1), ("c", w.tail)])
 
 
 def render_paired(k: int, w: PairedBlockWord) -> Word:
     if len(w.supplies) != k or len(w.demands) != k:
         raise ValueError("paired block word does not match k")
-    out: list[str] = []
-    for i, n in enumerate(w.supplies, start=1):
-        out.extend([f"a_{i}"] * n)
-    for i, n in enumerate(w.demands, start=1):
-        out.extend([f"b_{i}"] * n)
-    return tuple(out)
+    supplies = ((f"a_{i}", n) for i, n in enumerate(w.supplies, start=1))
+    demands = ((f"b_{i}", n) for i, n in enumerate(w.demands, start=1))
+    return _spell([*supplies, *demands])
 
 
 def render_partition_k(k: int, w: PartitionKWord) -> Word:
     """Segments each '#'-terminated, then k demand blocks separated by '#'."""
     if len(w.demands) != k:
         raise ValueError("partition word does not match k")
-    out: list[str] = []
-    for m in w.segments:
-        out.extend(["a"] * m)
-        out.append("#")
-    for i, n in enumerate(w.demands, start=1):
-        if i > 1:
-            out.append("#")
-        out.extend([f"b_{i}"] * n)
-    return tuple(out)
+    # each demand block after a '#', less the first '#'
+    demands = [run for i, n in enumerate(w.demands, start=1) for run in (("#", 1), (f"b_{i}", n))]
+    return _spell([*segmented_runs(SegmentedWord(w.segments, 0, 0)), *demands[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -291,21 +279,25 @@ def build_coarse_factors() -> tuple[CounterNet, CounterNet]:
     return total_checker("coarse_b", -1, 0), total_checker("coarse_c", 0, -1)
 
 
+def _unit(k: int, i: int, sign: int) -> Vector:
+    """The k-vector that holds sign at index i and 0 elsewhere."""
+    return tuple(sign if j == i else 0 for j in range(k))
+
+
 def build_selector_dcn(k: int) -> CounterNet:
     """Deterministic k-counter net for the selector language: counter i
     counts a_i, the b_i letter picks which counter the c tail drains."""
     if k < 1:
         raise ValueError("k must be >= 1")
     zero = (0,) * k
-    unit = lambda i: tuple(1 if j == i else 0 for j in range(k))
     ts: list[Transition] = []
     for j in range(1, k + 1):
         for l in range(j, k + 1):
-            ts.append(Transition(f"blk{j}", f"a_{l}", unit(l - 1), f"blk{l}"))
+            ts.append(Transition(f"blk{j}", f"a_{l}", _unit(k, l - 1, 1), f"blk{l}"))
         for i in range(1, k + 1):
             ts.append(Transition(f"blk{j}", f"b_{i}", zero, f"sel{i}"))
     for i in range(1, k + 1):
-        ts.append(Transition(f"sel{i}", "c", tuple(-1 if j == i - 1 else 0 for j in range(k)), f"sel{i}"))
+        ts.append(Transition(f"sel{i}", "c", _unit(k, i - 1, -1), f"sel{i}"))
     return _net(f"selector_dcn_{k}", ("blk1",), [f"sel{i}" for i in range(1, k + 1)], ts)
 
 
@@ -337,16 +329,15 @@ def build_paired_dcn(k: int) -> CounterNet:
     its demand.  All states accept; the counters do the rejecting."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    unit = lambda i, sign: tuple(sign if j == i else 0 for j in range(k))
     ts: list[Transition] = []
     for j in range(1, k + 1):
         for l in range(j, k + 1):
-            ts.append(Transition(f"sup{j}", f"a_{l}", unit(l - 1, 1), f"sup{l}"))
+            ts.append(Transition(f"sup{j}", f"a_{l}", _unit(k, l - 1, 1), f"sup{l}"))
         for l in range(1, k + 1):
-            ts.append(Transition(f"sup{j}", f"b_{l}", unit(l - 1, -1), f"dem{l}"))
+            ts.append(Transition(f"sup{j}", f"b_{l}", _unit(k, l - 1, -1), f"dem{l}"))
     for j in range(1, k + 1):
         for l in range(j, k + 1):
-            ts.append(Transition(f"dem{j}", f"b_{l}", unit(l - 1, -1), f"dem{l}"))
+            ts.append(Transition(f"dem{j}", f"b_{l}", _unit(k, l - 1, -1), f"dem{l}"))
     return _net(f"paired_dcn_{k}", ("sup1",), {t.source for t in ts}, ts)
 
 
@@ -357,19 +348,18 @@ def build_partition_k(k: int) -> CounterNet:
     the demand phase with an empty first block."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    unit = lambda i, sign: tuple(sign if j == i else 0 for j in range(k))
     zero = (0,) * k
     ts: list[Transition] = []
     for i in range(1, k + 1):
-        ts.append(Transition("hub", "a", unit(i - 1, 1), f"bank{i}"))
-        ts.append(Transition(f"bank{i}", "a", unit(i - 1, 1), f"bank{i}"))
+        ts.append(Transition("hub", "a", _unit(k, i - 1, 1), f"bank{i}"))
+        ts.append(Transition(f"bank{i}", "a", _unit(k, i - 1, 1), f"bank{i}"))
         ts.append(Transition(f"bank{i}", "#", zero, "hub"))
     ts.append(Transition("hub", "#", zero, "hub"))
-    ts.append(Transition("hub", "b_1", unit(0, -1), "blk1"))
+    ts.append(Transition("hub", "b_1", _unit(k, 0, -1), "blk1"))
     if k >= 2:
         ts.append(Transition("hub", "#", zero, "blk2"))
     for i in range(1, k + 1):
-        ts.append(Transition(f"blk{i}", f"b_{i}", unit(i - 1, -1), f"blk{i}"))
+        ts.append(Transition(f"blk{i}", f"b_{i}", _unit(k, i - 1, -1), f"blk{i}"))
         if i < k:
             ts.append(Transition(f"blk{i}", "#", zero, f"blk{i+1}"))
     accepting = (f"blk{k}",) if k >= 2 else ("hub", "blk1")

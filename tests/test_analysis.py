@@ -484,6 +484,36 @@ def test_segment_spans_skip_delimiters():
     assert c_span == (8, 9)
 
 
+# segment_spans and _letters as they were before they read
+# zoo.segmented_runs, kept as the references for their results
+
+def reference_segment_spans(word):
+    spans = []
+    pos = 0
+    for m in word.segments:
+        spans.append((pos, pos + m))
+        pos += m + 1  # the '#'
+    b_span = (pos, pos + word.m_b)
+    pos += word.m_b
+    c_span = (pos, pos + word.m_c)
+    return spans, b_span, c_span
+
+
+def reference_letters(w):
+    return sum(w.segments) + len(w.segments) + w.m_b + w.m_c
+
+
+def test_segment_spans_and_letters_match_their_references():
+    rng = random.Random(27)
+    words = [SegmentedWord(segs, m_b, m_c) for t in range(4)  # t = 0: no segment
+             for segs in cartesian(range(3), repeat=t) for m_b, m_c in cartesian(range(3), repeat=2)]
+    words += [SegmentedWord(tuple(rng.choice((0, 1, 7, 300)) for _ in range(rng.randint(0, 9))),
+                            rng.choice((0, 5)), rng.choice((0, 5))) for _ in range(200)]
+    for sw in words:
+        assert segment_spans(sw) == reference_segment_spans(sw), sw
+        assert analysis._letters(sw) == reference_letters(sw) == len(render_segmented(sw)), sw
+
+
 def test_form_segment_positive():
     cb, _ = build_coarse_factors()
     rf = classify_run_form(run_on(cb, "aa#b"), SegmentedWord((2,), 1, 0), 1)

@@ -16,6 +16,8 @@ from counternet.core import (
     SweepLimitError,
     Transition,
     _maximal,
+    _runs,
+    _spell,
     accepts,
     accepts_naive,
     enumerate_accepting_runs,
@@ -1121,3 +1123,25 @@ def test_frontier_graph_held_counts_the_entries_of_its_frontiers(monkeypatch):
         assert len(made) == graphs
         for g in made:
             assert len(g.frontiers) > 100 and g.held == _entries(g)
+
+
+# --- runs of one letter ---------------------------------------------------
+
+@given(st.lists(st.sampled_from(["a", "b", "#"]), max_size=40))
+def test_runs_spell_back_to_the_word_with_no_empty_or_repeated_run(letters):
+    word = tuple(letters)
+    runs = list(_runs(word))
+    assert _spell(runs) == word
+    assert all(n > 0 for _, n in runs)
+    assert all(x != y for (x, _), (y, _) in zip(runs, runs[1:]))
+
+
+def test_runs_count_equal_letters_that_are_distinct_objects():
+    ab, built = "ab", "".join(["a", "b"])
+    assert built is not ab
+    assert list(_runs((ab, built, ab, "c"))) == [(ab, 3), ("c", 1)]
+
+
+def test_spell_drops_zero_counts_and_joins_equal_neighbours():
+    assert _spell([("a", 0), ("a", 2), ("a", 1), ("b", 0)]) == ("a", "a", "a")
+    assert _spell([]) == ()

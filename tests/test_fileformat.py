@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 from dataclasses import replace
+from itertools import groupby
 
 import pytest
 from hypothesis import given
@@ -294,6 +296,78 @@ def test_parse_word_refuses_a_word_past_the_budget(monkeypatch):
     for text in ("a^101", "a^60 b^41", "a^100 b", "b a^1000"):
         with pytest.raises(ValueError, match="word has more than 100 letters"):
             parse_word(text)
+
+
+def test_parse_word_refuses_one_letter_past_the_real_budget_before_building():
+    half = fileformat.WORD_BUDGET // 2
+    with pytest.raises(ValueError, match=f"word has more than {fileformat.WORD_BUDGET} letters"):
+        parse_word(f"a^{half} b^{fileformat.WORD_BUDGET - half + 1}")
+
+
+@pytest.mark.parametrize("text", ["a^1000000", "a^300000 # b^300000 c^400000"])
+def test_parse_word_peaks_under_12_bytes_per_letter(text):
+    # the letter tuple holds 8 bytes of pointer per letter, the letters
+    # themselves shared; a letter list copied into a tuple peaks at 16
+    tracemalloc.start()
+    try:
+        word = parse_word(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(word) >= 10**6 and peak < 12 * len(word)
+
+
+# parse_word and render_word_text as they were before they went through
+# core._spell and core._runs, kept as the references for their results
+# and their error texts
+
+def reference_parse_word(text):
+    out = []
+    for tok in text.split():
+        base, sep, exp = tok.rpartition("^")
+        if sep and base:
+            try:
+                n = int(exp)
+            except ValueError:
+                raise ValueError(f"bad repeat count in {tok!r}")
+            if n < 0:
+                raise ValueError(f"negative repeat count in {tok!r}")
+        else:
+            base, n = tok, 1
+        if len(out) + n > fileformat.WORD_BUDGET:
+            raise ValueError(f"word has more than {fileformat.WORD_BUDGET} letters")
+        out.extend([base] * n)
+    return tuple(out)
+
+
+def reference_render_word_text(word):
+    runs = ((tok, len(list(group))) for tok, group in groupby(word))
+    return " ".join(tok if n == 1 else f"{tok}^{n}" for tok, n in runs)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_parse_word_matches_its_reference(monkeypatch):
+    monkeypatch.setattr(fileformat, "WORD_BUDGET", 40)
+    rng = random.Random(27)
+    # neighbouring equal tokens, zero counts, a bare '^3', bad and
+    # negative counts, and words of exactly 40 letters and of 41
+    texts = ["", "a a^3", "a^0 a^0", "a^3 a^0 a", "^3", "a^3^2", "a^b", "a^", "a^-1", "a^+2",
+             "a^40", "a^41", "a^20 # a^19", "a^20 # a^20", "b a^39", "b a^40 ^3", "a^0 " * 50]
+    pieces = ["a", "b", "#", "^3", "a^0", "a^1", "a^3", "b^2", "a^12", "c^-1", "c^x"]
+    texts += [" ".join(rng.choices(pieces, k=rng.randint(0, 12))) for _ in range(2000)]
+    for text in texts:
+        assert _outcome(parse_word, text) == _outcome(reference_parse_word, text), text
+
+
+@given(st.lists(st.sampled_from(["a", "b", "#", "b_1"]), max_size=40))
+def test_render_word_text_matches_its_reference(word):
+    assert render_word_text(tuple(word)) == reference_render_word_text(tuple(word))
 
 
 # letters validate accepts: non-empty, no whitespace, no '^'

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from dataclasses import fields
 from itertools import product
 
@@ -32,6 +33,7 @@ from counternet.zoo import (
     render_partition_k,
     render_segmented,
     render_selector,
+    segmented_runs,
     selector_oracle,
     shared_budget_oracle,
 )
@@ -427,22 +429,121 @@ def test_partition_net_matches_oracle_small_box():
     assert rep.checked == (1 + 4 + 16) * 16
 
 
+# --- the renderers against the letter lists they were built from --------
+
+# The renderers as they were before they spelled runs with core._spell,
+# kept as the references for the words they give.
+
+def reference_render_segmented(w):
+    out = []
+    for m in w.segments:
+        out.extend(["a"] * m)
+        out.append("#")
+    out.extend(["b"] * w.m_b)
+    out.extend(["c"] * w.m_c)
+    return tuple(out)
+
+
+def reference_render_selector(k, w):
+    out = []
+    for i, n in enumerate(w.blocks, start=1):
+        out.extend([f"a_{i}"] * n)
+    out.append(f"b_{w.choice}")
+    out.extend(["c"] * w.tail)
+    return tuple(out)
+
+
+def reference_render_paired(k, w):
+    out = []
+    for i, n in enumerate(w.supplies, start=1):
+        out.extend([f"a_{i}"] * n)
+    for i, n in enumerate(w.demands, start=1):
+        out.extend([f"b_{i}"] * n)
+    return tuple(out)
+
+
+def reference_render_partition_k(k, w):
+    out = []
+    for m in w.segments:
+        out.extend(["a"] * m)
+        out.append("#")
+    for i, n in enumerate(w.demands, start=1):
+        if i > 1:
+            out.append("#")
+        out.extend([f"b_{i}"] * n)
+    return tuple(out)
+
+
+def _counts(length, top=2):
+    """Every tuple of length counts in 0..top: zero counts included."""
+    return product(range(top + 1), repeat=length)
+
+
+def test_segmented_runs_keep_zero_counts_and_every_delimiter():
+    assert segmented_runs(SegmentedWord((2, 0), 0, 1)) == (
+        ("a", 2), ("#", 1), ("a", 0), ("#", 1), ("b", 0), ("c", 1))
+    assert segmented_runs(SegmentedWord((), 0, 0)) == (("b", 0), ("c", 0))
+
+
+def test_render_segmented_matches_its_reference():
+    for t in range(4):  # t = 0 is the word b^{m_b} c^{m_c}
+        for segs, (m_b, m_c) in product(_counts(t), _counts(2)):
+            sw = SegmentedWord(segs, m_b, m_c)
+            assert render_segmented(sw) == reference_render_segmented(sw), sw
+
+
+def test_render_selector_and_paired_match_their_references():
+    for k in range(1, 4):
+        for blocks, choice, tail in product(_counts(k), range(1, k + 1), range(3)):
+            sw = SelectorWord(blocks, choice, tail)
+            assert render_selector(k, sw) == reference_render_selector(k, sw), sw
+        for supplies, demands in product(_counts(k), _counts(k)):
+            pw = PairedBlockWord(supplies, demands)
+            assert render_paired(k, pw) == reference_render_paired(k, pw), pw
+
+
+def test_render_partition_k_matches_its_reference():
+    for k, t in product(range(1, 4), range(3)):
+        for segs, demands in product(_counts(t), _counts(k)):
+            pw = PartitionKWord(segs, demands)
+            assert render_partition_k(k, pw) == reference_render_partition_k(k, pw), pw
+
+
+def test_renderers_match_their_references_on_long_seeded_words():
+    rng = random.Random(27)
+    for _ in range(200):
+        k, t = rng.randint(1, 5), rng.randint(0, 5)
+        counts = lambda n: tuple(rng.choice((0, 1, 2, 5, 40)) for _ in range(n))
+        sw = SegmentedWord(counts(t), *counts(2))
+        assert render_segmented(sw) == reference_render_segmented(sw)
+        selw = SelectorWord(counts(k), rng.randint(1, k), rng.choice((0, 3, 40)))
+        assert render_selector(k, selw) == reference_render_selector(k, selw)
+        pw = PairedBlockWord(counts(k), counts(k))
+        assert render_paired(k, pw) == reference_render_paired(k, pw)
+        kw = PartitionKWord(counts(t), counts(k))
+        assert render_partition_k(k, kw) == reference_render_partition_k(k, kw)
+
+
 # --- the builders' nets, pinned -----------------------------------------
 
 # the first 16 hex digits of the sha256 of emit_machine_file over each
-# family's members, recorded while the builders still listed their
-# dimension, alphabet and states by hand
+# family's members, recorded for k = 1..4 while the builders still listed
+# their dimension, alphabet and states by hand, and for k = 5, 6 while each
+# builder still wrote its own unit vectors
 EMITTED = {
     "P": "284b22f4e1e7a743",
     "fig1": "221ca283149bf2e6",
-    "Lk": ("354dacc8bfee1c15", "fa07a001a38b1480", "b86d30340107b6e5", "1a2249a4f4fd4472"),
-    "Hk": ("a4bd0e41332c64d0", "7a46994fd3ab4ee0", "a01ce78e41fcd22b", "d4ba6c25be2b92ed"),
-    "PkConj": ("706da993c58d28e5", "d6a72acdaa68963e", "bafb05d5b688e5d1", "64da0e49c0cddcd1"),
+    "Lk": ("354dacc8bfee1c15", "fa07a001a38b1480", "b86d30340107b6e5", "1a2249a4f4fd4472",
+           "8bcb8d768d7e68f5", "b409f70d3c801385"),
+    "Hk": ("a4bd0e41332c64d0", "7a46994fd3ab4ee0", "a01ce78e41fcd22b", "d4ba6c25be2b92ed",
+           "63a60ac2c85e912d", "5ca2d1bc5080dfd9"),
+    "PkConj": ("706da993c58d28e5", "d6a72acdaa68963e", "bafb05d5b688e5d1", "64da0e49c0cddcd1",
+               "64c092a82616395d", "6abf5ca723d60a22"),
     "coarse": "12f45a81e4946644",
 }
 
 
-@pytest.mark.parametrize("family, k", [(f, k) for f in FAMILIES for k in range(1, 5)])
+@pytest.mark.parametrize("family, k", [(f, k) for f in FAMILIES for k in range(1, 7)])
 def test_family_nets_are_pinned_and_round_trip(family, k):
     nets = list(FAMILIES[family](k).values())
     text = emit_machine_file(nets)
