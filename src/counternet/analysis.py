@@ -428,6 +428,10 @@ class PumpFamily:
 
 
 def grow_word(word: SegmentedWord, segment: int, dx: int, dy: int, dz: int) -> SegmentedWord:
+    """word with dx more letters in its 1-based segment, dy more b and dz
+    more c; ValueError for a segment outside 1..t."""
+    if not 1 <= segment <= len(word.segments):
+        raise ValueError(f"segment {segment} is outside 1..{len(word.segments)}")
     segs = list(word.segments)
     segs[segment - 1] += dx
     return SegmentedWord(tuple(segs), word.m_b + dy, word.m_c + dz)
@@ -748,9 +752,11 @@ def bounded_compare(
 # zoo:P` holds 1.14 * 10^6 at depth 30 and passes the budget at depth 33,
 # about 2 s and 170 MB in
 _WALK_BUDGET = 2 * 10**6
+# the most nodes one compare_nets_walk expands; past it the walk is "exhausted"
+_WALK_NODES = 500_000
 
 
-def compare_nets_walk(a: CounterNet, b: CounterNet, max_len: int, node_cap: int = 500_000) -> ComparisonReport:
+def compare_nets_walk(a: CounterNet, b: CounterNet, max_len: int) -> ComparisonReport:
     """Exact comparison of two nets on every word up to max_len by a
     breadth-first walk over pairs of frontier ids, one FrontierGraph per
     distinct net (a net compared with itself steps one graph).
@@ -759,7 +765,7 @@ def compare_nets_walk(a: CounterNet, b: CounterNet, max_len: int, node_cap: int 
     after, so each pair is expanded once, from its shortest prefix.  A
     queued node is (ia, ib, parent node, last letter); its prefix is
     spelled out only for a mismatch.  The walk is "exhausted" past
-    node_cap nodes, or when it would start a depth while the graphs hold
+    _WALK_NODES nodes, or when it would start a depth while the graphs hold
     more than _WALK_BUDGET vector entries (FrontierGraph.held, which each
     graph adds to as it interns a frontier).
     """
@@ -773,6 +779,7 @@ def compare_nets_walk(a: CounterNet, b: CounterNet, max_len: int, node_cap: int 
     seen = {(0, 0)}
     queue = [(0, 0, None, None)]
     checked = depth = 0
+    node_cap = _WALK_NODES
     while queue:
         if ga.held + (gb.held if gb is not ga else 0) > _WALK_BUDGET:
             return ComparisonReport("exhausted", None, None, checked)
@@ -868,6 +875,8 @@ def refute_partition_decomposition(
     if strategy == "enumerate":
         return _refute_enumerate(factors, k, box)
     if strategy == "guided":
+        if not factors:
+            raise ValueError("the guided strategy needs at least one factor")
         return _refute_guided(factors, k, caps)
     raise ValueError(f"unknown strategy {strategy!r}")
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import replace
 from functools import reduce
+from operator import index
 from typing import Optional, Sequence
 
 from .core import CounterNet, Transition, validate
@@ -162,7 +163,7 @@ def lift(net: CounterNet, target_dim: int, placement: Optional[Sequence[int]] = 
     if target_dim < k:
         raise ValueError("target dimension smaller than the net's dimension")
     identity = tuple(range(1, k + 1))
-    placement = identity if placement is None else tuple(int(p) for p in placement)
+    placement = identity if placement is None else tuple(map(index, placement))
     if len(placement) != k:
         raise ValueError("placement must list one target coordinate per original coordinate")
     if len(set(placement)) != k:

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, groupby, repeat, starmap
-from operator import add, countOf, ge
+from operator import add, countOf, ge, index
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 Word = tuple[str, ...]
@@ -45,6 +45,8 @@ _WORDS_BUDGET = 3 * 10**6
 # one FrontierGraph.words call interns: counters that grow with the word
 # give a frontier per prefix (`vasify zoo:Hk --k 40 --report`)
 _FRONTIERS_BUDGET = 10**6
+# the most nodes one accepts_naive call enumerates; past it, EnumerationCapError
+_NAIVE_NODES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ class Transition:
     target: str
 
     def __post_init__(self):
-        object.__setattr__(self, "effect", tuple(int(x) for x in self.effect))
+        object.__setattr__(self, "effect", tuple(map(index, self.effect)))
 
 
 @dataclass(frozen=True)
@@ -378,7 +380,7 @@ def initial_frontier(net: CounterNet, initial: Optional[Sequence[int]] = None) -
 def _initial_vector(net: CounterNet, initial: Optional[Sequence[int]]) -> Vector:
     if initial is None:
         return (0,) * net.dimension
-    v0 = tuple(int(x) for x in initial)
+    v0 = tuple(map(index, initial))
     if len(v0) != net.dimension:
         raise ValueError(f"initial vector has length {len(v0)}, net dimension is {net.dimension}")
     if any(x < 0 for x in v0):
@@ -532,16 +534,16 @@ def accepts_naive(
     net: CounterNet,
     word: Sequence[str],
     initial: Optional[Sequence[int]] = None,
-    cap: int = 1_000_000,
 ) -> bool:
     """Membership by exhaustive path enumeration, no pruning.
 
     Kept deliberately independent of the frontier machinery so the two can
-    cross-check each other.  Raises EnumerationCapError past cap nodes.
+    cross-check each other.  Raises EnumerationCapError past _NAIVE_NODES
+    nodes.
     """
     w = tuple(word)
     v0 = _initial_vector(net, initial)
-    budget = cap
+    budget = _NAIVE_NODES
     # children go on in reverse declaration order, so nodes come off in
     # depth-first preorder by ascending declaration index: initial states
     # as in net.states, then transitions
@@ -551,7 +553,7 @@ def accepts_naive(
         state, pos, counters = stack.pop()
         budget -= 1
         if budget < 0:
-            raise EnumerationCapError(f"more than {cap} enumeration nodes")
+            raise EnumerationCapError(f"more than {_NAIVE_NODES} enumeration nodes")
         if pos == len(w):
             if state in net.accepting:
                 return True
@@ -640,7 +642,7 @@ def replay(
     records the dip and tags the run accordingly.
     """
     state = start_state
-    counters = tuple(int(x) for x in initial)
+    counters = tuple(map(index, initial))
     configs = [Config(state, counters)]
     for t in transitions:
         if t.source != state:

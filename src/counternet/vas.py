@@ -34,6 +34,13 @@ from .core import (
 
 VAS_STATE = "u"
 
+# the depth of check_gating's walk; a walk cut there reports itself incomplete
+_GATING_DEPTH = 12
+# the most valuations check_gating's walk keeps; past it the walk is incomplete
+_GATING_NODES = 20000
+# the longest flat words verify_pipeline counts as extras; longer ones go uncounted
+_FLAT_LEN = 7
+
 
 @dataclass(frozen=True)
 class LabelMap:
@@ -200,18 +207,16 @@ class GatingViolation:
     expected: Optional[set[str]]
 
 
-def check_gating(
-    result: VasResult,
-    max_depth: int = 12,
-    node_cap: int = 20000,
-) -> tuple[list[GatingViolation], int, bool]:
+def check_gating(result: VasResult) -> tuple[list[GatingViolation], int, bool]:
     """Walk the reachable valuations of the flattened net and check the
     protocol discipline at every node: the control coordinates must match
     exactly one pattern, and the enabled letters must be the expected
     phase letters of that pattern, except that phase-3 letters may also
     be blocked by the original coordinates.
 
-    Returns (violations, nodes visited, walk exhausted before caps).
+    The walk goes _GATING_DEPTH steps deep and keeps at most
+    _GATING_NODES valuations.  Returns (violations, nodes visited, walk
+    exhausted before caps).
 
     The work is indexed once per call: the expected letters of each
     pattern, and per control tuple val[k:] the transitions its control
@@ -227,7 +232,8 @@ def check_gating(
     violations: list[GatingViolation] = []
     visited = 0
     complete = True
-    for _ in range(max_depth):
+    node_cap = _GATING_NODES
+    for _ in range(_GATING_DEPTH):
         if not frontier:
             break
         next_frontier = []
@@ -281,17 +287,17 @@ class PipelineReport:
     stats: dict
 
 
-def verify_pipeline(net: CounterNet, max_len: int = 6, flat_len: int = 7) -> PipelineReport:
+def verify_pipeline(net: CounterNet, max_len: int = 6) -> PipelineReport:
     """Run both pipeline stages on a deterministic net and cross-check.
 
     labelled_matches: the relabelled net's bounded language maps back
     onto the original's, bijectively.  containment_ok: for every short
     word of the relabelled net, all three phase prefixes of its protocol
     expansion are accepted by the flattened net.  extra_members: words
-    the flattened net accepts that are not phase prefixes of protocol
-    expansions; these are inherent to the flattening and only reported.
-    gating: pattern and enabled-letter discipline over the valuations
-    check_gating reaches at its default depth.
+    of at most _FLAT_LEN letters that the flattened net accepts and that
+    are not phase prefixes of protocol expansions; these are inherent to
+    the flattening and only reported.  gating: pattern and enabled-letter
+    discipline over the valuations check_gating reaches.
     """
     if max_len < 0:
         raise ValueError(f"word length bound must be >= 0, got {max_len}")
@@ -307,7 +313,8 @@ def verify_pipeline(net: CounterNet, max_len: int = 6, flat_len: int = 7) -> Pip
     failures: list[Word] = []
     # the phase prefixes are distinct (each spells its word and stop back),
     # so counting them counts the distinct ones; only those a flat word of
-    # at most flat_len letters can equal are kept
+    # at most _FLAT_LEN letters can equal are kept
+    flat_len = _FLAT_LEN
     expanded = 0
     short: set[Word] = {()}
     flat = FrontierGraph(result.net, result.initial)

@@ -603,6 +603,17 @@ def test_grow_word():
     assert grown == SegmentedWord((1, 12), 23, 34)
 
 
+def test_grow_word_refuses_a_segment_outside_the_word():
+    word = SegmentedWord((1, 2, 3), 0, 0)
+    for segment in (0, -1, 4):
+        with pytest.raises(ValueError, match=rf"segment {segment} is outside 1\.\.3"):
+            grow_word(word, segment, 10, 0, 0)
+    for segment, grown in ((1, (11, 2, 3)), (2, (1, 12, 3)), (3, (1, 2, 13))):
+        assert grow_word(word, segment, 10, 0, 0) == SegmentedWord(grown, 0, 0)
+    with pytest.raises(ValueError, match=r"segment 1 is outside 1\.\.0"):
+        grow_word(SegmentedWord((), 1, 1), 1, 10, 0, 0)
+
+
 def test_family_on_universal_net_takes_first_candidate():
     ws = find_bad_segment_witness(seg_univ(), 1, 1, 2)
     fam = find_pump_family(seg_univ(), ws.witness)
@@ -997,17 +1008,19 @@ def test_sequence_sides_compare_as_intersections():
     assert (rep.verdict, rep.counterexample, rep.checked) == ("right-only", ("#", "#", "c"), 2)
 
 
-def test_walk_node_cap_exhausts():
+def test_walk_node_cap_exhausts(monkeypatch):
     p = build_partition_net()
     cb, cc = build_coarse_factors()
     from counternet.constructions import product
     pr = product(cb, cc)
-    rep = compare_nets_walk(p, pr, max_len=10, node_cap=1)
+    monkeypatch.setattr(analysis, "_WALK_NODES", 1)
+    rep = compare_nets_walk(p, pr, max_len=10)
     assert rep.verdict == "exhausted"
     assert rep.counterexample is None
     # with room to breathe the same walk finds the shortest discrepancy,
     # an unterminated segment that only the totals accept
-    full = compare_nets_walk(p, pr, max_len=10, node_cap=100_000)
+    monkeypatch.setattr(analysis, "_WALK_NODES", 100_000)
+    full = compare_nets_walk(p, pr, max_len=10)
     assert full.verdict == "right-only"
     assert full.counterexample == ("a",)
 
@@ -1290,6 +1303,15 @@ def test_refuter_validates_factors():
     cb, cc = build_coarse_factors()
     with pytest.raises(ValueError):
         refute_partition_decomposition([cb, cc], strategy="bogus")
+
+
+def test_refuter_with_no_factors():
+    # the empty intersection accepts every word, so the enumerate strategy
+    # finds the oracle's first reject; the guided one has nothing to pump
+    res = refute_partition_decomposition([], strategy="enumerate")
+    assert (res.verdict, res.word, res.side) == ("counterexample", ("c",), "intersection-only")
+    with pytest.raises(ValueError, match="the guided strategy needs at least one factor"):
+        refute_partition_decomposition([], strategy="guided")
 
 
 def test_refuter_enumerate_finds_smallest_counterexample():

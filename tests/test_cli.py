@@ -186,8 +186,7 @@ def test_eq_selector_variants_agree(capsys):
 
 
 def test_eq_prints_an_exhausted_walk(monkeypatch, capsys):
-    walk = analysis.compare_nets_walk
-    monkeypatch.setattr(analysis, "compare_nets_walk", lambda a, b, max_len: walk(a, b, max_len, node_cap=10))
+    monkeypatch.setattr(analysis, "_WALK_NODES", 10)
     assert run(capsys, "eq", "zoo:P", "zoo:P", "--max-len", "5") == (
         1, "exhausted after 11 nodes, no verdict\n", "")
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from counternet import analysis
 from counternet.analysis import all_words, bounded_compare, compare_nets_walk, selector_box
 from counternet.constructions import (
     GADGET_SEPARATOR,
@@ -148,7 +149,9 @@ def test_intersection_of_projections_contains_original(seed):
     rng = random.Random(seed)
     net = random_dcn(rng, dim=2)
     pp = product(project(net, 1), project(net, 2))
-    rep = compare_nets_walk(net, pp, max_len=4, node_cap=50_000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_WALK_NODES", 50_000)
+        rep = compare_nets_walk(net, pp, max_len=4)
     assert rep.verdict in ("equal", "right-only", "exhausted"), rep.counterexample
 
 
@@ -225,6 +228,8 @@ def test_lift_rejects_bad_placements():
         lift(p, 3, placement=(2, 2))
     with pytest.raises(ValueError):
         lift(p, 3, placement=(0, 1))
+    with pytest.raises(TypeError):
+        lift(p, 3, placement=(2.5, 1))  # not truncated to (2, 1)
 
 
 # --- containment gadget -----------------------------------------------------

@@ -631,22 +631,25 @@ def test_naive_agrees_on_partition_samples():
         assert accepts(p, w) == accepts_naive(p, w), text
 
 
-def test_naive_cap_raises():
+def test_naive_cap_raises(monkeypatch):
     # two self loops and no accepting state force the full exponential tree
     net = validate(CounterNet(
         "wide", 1, frozenset({"x"}), ("p",), frozenset({"p"}), frozenset(),
         (Transition("p", "x", (0,), "p"), Transition("p", "x", (1,), "p")),
     ))
-    with pytest.raises(EnumerationCapError):
-        accepts_naive(net, ("x",) * 30, cap=100)
+    monkeypatch.setattr(core_mod, "_NAIVE_NODES", 100)
+    with pytest.raises(EnumerationCapError, match="more than 100 enumeration nodes"):
+        accepts_naive(net, ("x",) * 30)
     # x^5 visits 1 + 2 + 4 + 8 + 16 + 32 = 63 nodes
+    monkeypatch.setattr(core_mod, "_NAIVE_NODES", 62)
     with pytest.raises(EnumerationCapError):
-        accepts_naive(net, ("x",) * 5, cap=62)
-    assert accepts_naive(net, ("x",) * 5, cap=63) is False
+        accepts_naive(net, ("x",) * 5)
+    monkeypatch.setattr(core_mod, "_NAIVE_NODES", 63)
+    assert accepts_naive(net, ("x",) * 5) is False
 
 
 @pytest.mark.parametrize("states", [("q", "p"), ("p", "q")])
-def test_naive_starts_from_initial_states_in_declaration_order(states):
+def test_naive_starts_from_initial_states_in_declaration_order(states, monkeypatch):
     # from q, x^4 is accepted after 5 nodes; from p, the doubling tree of
     # two self loops spends the cap first, whatever the hash seed
     net = validate(CounterNet(
@@ -654,11 +657,12 @@ def test_naive_starts_from_initial_states_in_declaration_order(states):
         (Transition("p", "x", (0,), "p"), Transition("p", "x", (1,), "p"),
          Transition("q", "x", (0,), "q")),
     ))
+    monkeypatch.setattr(core_mod, "_NAIVE_NODES", 10)
     if states[0] == "q":
-        assert accepts_naive(net, ("x",) * 4, cap=10) is True
+        assert accepts_naive(net, ("x",) * 4) is True
     else:
         with pytest.raises(EnumerationCapError):
-            accepts_naive(net, ("x",) * 4, cap=10)
+            accepts_naive(net, ("x",) * 4)
 
 
 def test_long_word_does_not_hit_the_recursion_limit():
@@ -945,6 +949,33 @@ def test_replay_golden_routed_run():
     assert is_valid_n_run(p, run, (0, 0))
     assert run.configs[-1].state == "drain_c"
     assert run.configs[-1].counters == (0, 0)
+
+
+# integer inputs go through operator.index: a float raises TypeError
+# instead of being truncated, and a bool becomes its int
+
+def test_transition_effect_refuses_non_integers():
+    with pytest.raises(TypeError):
+        Transition("p", "a", (1.5, -0.7), "q")
+    effect = Transition("p", "a", (True, -1), "q").effect
+    assert effect == (1, -1) and type(effect[0]) is int
+
+
+@pytest.mark.parametrize("decide", [accepts, accepts_naive,
+                                    lambda net, w, initial: enumerate_runs(net, w, "p", initial)],
+                         ids=["accepts", "accepts_naive", "enumerate_runs"])
+def test_initial_vector_refuses_non_integers(decide):
+    net = validate(small_net(transitions=(Transition("p", "x", (-1,), "q"),)))
+    with pytest.raises(TypeError):
+        decide(net, ("x",), initial=(0.9,))
+    assert accepts(net, ("x",), initial=(True,))
+
+
+def test_replay_refuses_non_integer_counters():
+    net = validate(small_net())
+    with pytest.raises(TypeError):
+        replay("p", (0.5,), net.transitions)
+    assert replay("p", (True,), net.transitions).configs[-1].counters == (2,)
 
 
 def test_replay_negative_dip_raises_in_n_regime():

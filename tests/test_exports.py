@@ -66,3 +66,16 @@ def test_bare_import_loads_no_submodule_until_one_is_named():
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "0.1.0"]
+
+
+@pytest.mark.parametrize("module, function, removed, constants", [
+    ("core", "accepts_naive", {"cap"}, {"_NAIVE_NODES": 1_000_000}),
+    ("analysis", "compare_nets_walk", {"node_cap"}, {"_WALK_NODES": 500_000}),
+    ("vas", "check_gating", {"max_depth", "node_cap"}, {"_GATING_DEPTH": 12, "_GATING_NODES": 20000}),
+    ("vas", "verify_pipeline", {"flat_len"}, {"_FLAT_LEN": 7}),
+])
+def test_fixed_limits_are_module_constants(module, function, removed, constants):
+    # no caller varies these limits, so they are constants, not parameters
+    mod = import_module(f"counternet.{module}")
+    assert removed.isdisjoint(inspect.signature(getattr(mod, function)).parameters)
+    assert {name: getattr(mod, name) for name in constants} == constants

@@ -298,27 +298,30 @@ def _check_gating_every_transition(result, max_depth=12, node_cap=20000):
     return violations, visited, complete
 
 
-def test_gating_matches_the_every_transition_walk():
-    rng = random.Random(15)
-    outcomes = set()
-    for _ in range(40):
-        result = vasify(distinct_label(random_dcn(rng, dim=rng.randint(0, 2))).net)
-        for depth, cap in ((12, 20000), (6, 40), (12, 3)):
-            got = check_gating(result, depth, cap)
-            assert got == _check_gating_every_transition(result, depth, cap)
-            outcomes.add(got[2])
-    assert outcomes == {True, False}
+def test_gating_matches_the_every_transition_walk(monkeypatch):
     for net in (single_step_net(), build_paired_dcn(2)):
         broken = _zeroed_phase_two(vasify(distinct_label(net).net))
         got = check_gating(broken)
         assert got[0]
         assert got == _check_gating_every_transition(broken)
+    rng = random.Random(15)
+    outcomes = set()
+    for _ in range(40):
+        result = vasify(distinct_label(random_dcn(rng, dim=rng.randint(0, 2))).net)
+        for depth, cap in ((12, 20000), (6, 40), (12, 3)):
+            monkeypatch.setattr(vas_mod, "_GATING_DEPTH", depth)
+            monkeypatch.setattr(vas_mod, "_GATING_NODES", cap)
+            got = check_gating(result)
+            assert got == _check_gating_every_transition(result, depth, cap)
+            outcomes.add(got[2])
+    assert outcomes == {True, False}
 
 
-def test_gating_walk_stops_at_its_node_cap():
+def test_gating_walk_stops_at_its_node_cap(monkeypatch):
     # the walk of H2's flat net is cut at the first depth holding more than 5 valuations
     result = vasify(distinct_label(build_paired_dcn(2)).net)
-    got = check_gating(result, 12, node_cap=5)
+    monkeypatch.setattr(vas_mod, "_GATING_NODES", 5)
+    got = check_gating(result)
     assert got[1:] == (5, False)
     assert got == _check_gating_every_transition(result, 12, 5)
 
@@ -340,8 +343,9 @@ def test_pipeline_reports_the_phase_prefixes_the_flat_net_rejects(monkeypatch):
     assert rep.containment_failures == (("g0_1", "g0_2", "g0_3"),)
 
 
-def test_pipeline_on_paired_blocks():
-    rep = verify_pipeline(build_paired_dcn(2), max_len=4, flat_len=5)
+def test_pipeline_on_paired_blocks(monkeypatch):
+    monkeypatch.setattr(vas_mod, "_FLAT_LEN", 5)
+    rep = verify_pipeline(build_paired_dcn(2), max_len=4)
     assert rep.labelled_matches
     assert rep.containment_ok
     assert rep.containment_failures == ()
@@ -368,14 +372,15 @@ def test_flat_net_mixes_protocols_from_shared_source():
     assert accepts(result.net, mixed, initial=result.initial)
 
 
-def test_pipeline_on_plain_automaton():
+def test_pipeline_on_plain_automaton(monkeypatch):
     toggle = validate(CounterNet(
         name="toggle", dimension=0, alphabet=frozenset("x"),
         states=("even", "odd"), initial=("even",), accepting=("even",),
         transitions=(
             Transition("even", "x", (), "odd"),
             Transition("odd", "x", (), "even"))))
-    rep = verify_pipeline(toggle, max_len=5, flat_len=6)
+    monkeypatch.setattr(vas_mod, "_FLAT_LEN", 6)
+    rep = verify_pipeline(toggle, max_len=5)
     assert rep.labelled_matches
     assert rep.containment_ok
     assert rep.gating_ok
@@ -421,13 +426,14 @@ def test_pipeline_report_at_the_defaults_is_pinned(net, extra_count, extras, sta
     )
 
 
-def test_pipeline_counts_and_filters_as_the_set_of_every_phase_prefix():
+def test_pipeline_counts_and_filters_as_the_set_of_every_phase_prefix(monkeypatch):
     # the report keeps a count and the short prefixes only; the set of all
     # of them, as it was once held, gives the same count and extras
     rng = random.Random(5)
     nets = [build_paired_dcn(1), build_selector_dcn(2)] + [random_dcn(rng, dim=1) for _ in range(6)]
     for net, max_len, flat_len in zip(nets, (9, 4, 5, 5, 6, 6, 7, 7), (4, 7, 3, 5, 4, 6, 5, 7)):
-        rep = verify_pipeline(net, max_len=max_len, flat_len=flat_len)
+        monkeypatch.setattr(vas_mod, "_FLAT_LEN", flat_len)
+        rep = verify_pipeline(net, max_len=max_len)
         labels = distinct_label(net)
         result = vasify(labels.net)
         every = {triplet_transform(w, stop) if w else () for w in FrontierGraph(labels.net).words(max_len)

@@ -63,6 +63,19 @@ def test_segmented_word_refuses_a_negative_parameter(params):
         SegmentedWord(*params)
 
 
+@pytest.mark.parametrize("params", [((1.9, 2), 0, 0), ((1,), 1.5, 0), ((), 0, 2.0)],
+                         ids=["segment", "m_b", "m_c"])
+def test_segmented_word_refuses_a_non_integer_parameter(params):
+    with pytest.raises(TypeError):
+        SegmentedWord(*params)
+
+
+def test_segmented_word_stores_ints():
+    sw = SegmentedWord((True, 2), True, False)
+    assert sw == SegmentedWord((1, 2), 1, 0)
+    assert {type(x) for x in (*sw.segments, sw.m_b, sw.m_c)} == {int}
+
+
 def test_parse_segmented_rejects_missing_terminator():
     with pytest.raises(ValueError) as err:
         parse_segmented(word("aab"))
