@@ -118,6 +118,14 @@ def _resolve(ref: str, k: Optional[int]) -> CounterNet:
 # ---------------------------------------------------------------------------
 # words and boxes
 
+def _ints(text: str, error: str) -> tuple[int, ...]:
+    """The comma-separated integers of text; CliError(error) if a field is not one."""
+    try:
+        return tuple(map(int, text.split(",")))
+    except ValueError:
+        raise CliError(error)
+
+
 def _generator_for(args, nets: Sequence[CounterNet]):
     from . import analysis
     picks = [x for x in (args.max_len is not None, args.segmented_box is not None,
@@ -125,15 +133,12 @@ def _generator_for(args, nets: Sequence[CounterNet]):
     if len(picks) != 1:
         raise CliError("choose exactly one of --max-len, --segmented-box, --box")
     if args.segmented_box is not None:
-        family, nums = "segmented", [3, args.segmented_box]
+        family, nums = "segmented", (3, args.segmented_box)
     elif args.max_len is not None:
-        family, nums = "words", [args.max_len]
+        family, nums = "words", (args.max_len,)
     else:
         family, _, rest = args.box.partition(":")
-        try:
-            nums = [int(a) for a in rest.split(",")] if rest else []
-        except ValueError:
-            raise CliError(f"box arguments must be integers: {args.box!r}")
+        nums = _ints(rest, f"box arguments must be integers: {args.box!r}") if rest else ()
     if family not in analysis.BOXES:
         raise CliError(f"unknown box family {family!r}")
     build, allowed = analysis.BOXES[family]
@@ -143,17 +148,14 @@ def _generator_for(args, nets: Sequence[CounterNet]):
         if len({n.alphabet for n in nets}) != 1:
             flag = "--max-len" if args.max_len is not None else "--box words"
             raise CliError(f"{flag} needs machines over a common alphabet")
-        nums.insert(0, nets[0].alphabet)
+        nums = (nets[0].alphabet, *nums)
     return build(*nums)
 
 
 def _parse_initial(text: Optional[str], dim: int) -> Optional[Vector]:
     if text is None:
         return None
-    try:
-        vec = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise CliError(f"--initial must be comma-separated integers: {text!r}")
+    vec = _ints(text, f"--initial must be comma-separated integers: {text!r}")
     if len(vec) != dim:
         raise CliError(f"--initial has {len(vec)} components, machine has {dim}")
     return vec
@@ -224,12 +226,8 @@ def _cmd_project(args) -> tuple[str, Optional[Word], dict, str]:
 
 
 def _cmd_lift(args) -> tuple[str, Optional[Word], dict, str]:
-    placement = None
-    if args.placement:
-        try:
-            placement = tuple(int(x) for x in args.placement.split(","))
-        except ValueError:
-            raise CliError("--placement must be comma-separated coordinates")
+    placement = (_ints(args.placement, "--placement must be comma-separated coordinates")
+                 if args.placement else None)
     net = _resolve(args.machine, args.k)
     entries = args.dim * len(net.transitions)
     if entries > LIFT_BUDGET:

@@ -12,7 +12,7 @@ from functools import reduce
 from operator import index
 from typing import Optional, Sequence
 
-from .core import CounterNet, Transition, validate
+from .core import CounterNet, Transition
 from .zoo import SEGMENT_ALPHABET, build_partition_net
 
 
@@ -51,7 +51,7 @@ def product(a: CounterNet, b: CounterNet) -> CounterNet:
                     target = visit((ta.target, tb.target))
                     transitions.append(Transition(seen[pair], letter, ta.effect + tb.effect, target))
     transitions.sort(key=lambda t: (rank[t.source], t.letter, rank[t.target]))
-    return validate(CounterNet(
+    return CounterNet(
         name=f"product({a.name},{b.name})",
         dimension=a.dimension + b.dimension,
         alphabet=a.alphabet,
@@ -59,7 +59,7 @@ def product(a: CounterNet, b: CounterNet) -> CounterNet:
         initial=initial,
         accepting=tuple(name for (p, q), name in seen.items() if p in a.accepting and q in b.accepting),
         transitions=tuple(transitions),
-    ))
+    )
 
 
 def product_all(nets: Sequence[CounterNet]) -> CounterNet:
@@ -93,13 +93,13 @@ def trim(net: CounterNet) -> CounterNet:
     keep = net.initial | (reach(net.initial, succ) & reach(net.accepting, pred))
     if len(keep) == len(net.states):
         return net
-    return validate(replace(
+    return replace(
         net,
         name=f"trim({net.name})",
         states=tuple(q for q in net.states if q in keep),
         accepting=net.accepting & keep,
         transitions=tuple(t for t in net.transitions if t.source in keep and t.target in keep),
-    ))
+    )
 
 
 def project(net: CounterNet, coordinate: int) -> CounterNet:
@@ -113,12 +113,12 @@ def project(net: CounterNet, coordinate: int) -> CounterNet:
         raise ValueError(f"coordinate {coordinate} out of range for dimension {net.dimension}")
     if net.dimension == 1 and coordinate == 1:
         return net
-    return validate(replace(
+    return replace(
         net,
         name=f"{net.name}|{coordinate}",
         dimension=1,
         transitions=tuple(replace(t, effect=(t.effect[coordinate - 1],)) for t in net.transitions),
-    ))
+    )
 
 
 def _renamed(net: CounterNet, tag: str) -> CounterNet:
@@ -142,14 +142,14 @@ def union(a: CounterNet, b: CounterNet) -> CounterNet:
     if a.alphabet != b.alphabet:
         raise ValueError("union requires a common alphabet")
     a, b = _renamed(a, "A"), _renamed(b, "B")
-    return validate(replace(
+    return replace(
         a,
         name=f"union({a.name},{b.name})",
         states=a.states + b.states,
         initial=a.initial | b.initial,
         accepting=a.accepting | b.accepting,
         transitions=a.transitions + b.transitions,
-    ))
+    )
 
 
 def lift(net: CounterNet, target_dim: int, placement: Optional[Sequence[int]] = None) -> CounterNet:
@@ -179,12 +179,12 @@ def lift(net: CounterNet, target_dim: int, placement: Optional[Sequence[int]] = 
             out[pos - 1] = value
         return tuple(out)
 
-    return validate(replace(
+    return replace(
         net,
         name=f"lift({net.name},{target_dim})",
         dimension=target_dim,
         transitions=tuple(replace(t, effect=widen(t.effect)) for t in net.transitions),
-    ))
+    )
 
 
 GADGET_SEPARATOR = "$"
@@ -219,11 +219,11 @@ def build_reduction(a: CounterNet, b: CounterNet) -> CounterNet:
                     for p0 in part.states if p0 in part.initial)
     transitions += (Transition(q, GADGET_SEPARATOR, zero2, sink) for q in both.states[n:] if q in both.accepting)
     transitions += (Transition(sink, letter, zero2, sink) for letter in sorted(SEGMENT_ALPHABET))
-    return validate(replace(
+    return replace(
         both,
         name=f"gadget({a.name},{b.name})",
         alphabet=a.alphabet | reserved,
         states=both.states + part.states + (sink,),
         accepting=part.accepting | {sink},
         transitions=tuple(transitions),
-    ))
+    )

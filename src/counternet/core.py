@@ -66,7 +66,7 @@ class CounterNet:
 
     states is an ordered tuple (declaration order matters for run
     enumeration and canonical file emission); initial and accepting are
-    subsets of it.  Construction does not validate, call validate().
+    subsets of it.  Construction (dataclasses.replace too) calls validate().
     """
 
     name: str
@@ -83,6 +83,7 @@ class CounterNet:
         object.__setattr__(self, "initial", frozenset(self.initial))
         object.__setattr__(self, "accepting", frozenset(self.accepting))
         object.__setattr__(self, "transitions", tuple(self.transitions))
+        validate(self)
 
     @cached_property
     def step_table(self) -> dict[tuple[str, str], tuple[Transition, ...]]:

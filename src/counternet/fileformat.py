@@ -27,7 +27,7 @@ invert each other on every word over a valid alphabet.
 
 from __future__ import annotations
 
-from .core import CounterNet, Transition, Word, _collected_order, _runs, _spell, validate
+from .core import CounterNet, Transition, Word, _collected_order, _runs, _spell
 
 # the most letters parse_word expands a word to: tok^N costs memory for
 # N letters, which a short argument must not exhaust
@@ -105,7 +105,7 @@ def parse_machine_file(text: str) -> list[CounterNet]:
 def _assemble(cur: dict, line_no: int) -> CounterNet:
     states = cur["states"] or _collected_order(cur["init"], cur["trans"], cur["accept"])
     try:
-        return validate(CounterNet(
+        return CounterNet(
             name=cur["name"],
             dimension=cur["dim"],
             alphabet=frozenset(cur["alphabet"]),
@@ -113,7 +113,7 @@ def _assemble(cur: dict, line_no: int) -> CounterNet:
             initial=frozenset(cur["init"]),
             accepting=frozenset(cur["accept"]),
             transitions=tuple(cur["trans"]),
-        ))
+        )
     except ValueError as exc:
         raise MachineFileError(line_no, str(exc)) from exc
 

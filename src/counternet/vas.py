@@ -29,7 +29,6 @@ from .core import (
     Vector,
     Word,
     is_deterministic,
-    validate,
 )
 
 VAS_STATE = "u"
@@ -65,12 +64,12 @@ def distinct_label(net: CounterNet) -> LabelMap:
     if not is_deterministic(net):
         raise ValueError("distinct labelling requires a deterministic net")
     mapping = {f"g{i}": t for i, t in enumerate(net.transitions)}
-    labelled = validate(replace(
+    labelled = replace(
         net,
         name=f"{net.name}+labels",
         alphabet=frozenset(mapping),
         transitions=tuple(replace(t, letter=label) for label, t in mapping.items()),
-    ))
+    )
     return LabelMap(labelled, net, mapping)
 
 
@@ -149,7 +148,7 @@ def vasify(net: CounterNet) -> VasResult:
     if len(set(seen_letters)) != len(seen_letters):
         raise ValueError("transition letters must be distinct; relabel first")
 
-    flat = validate(CounterNet(
+    flat = CounterNet(
         name=f"{net.name}+flat",
         dimension=net.dimension + 3,
         alphabet=frozenset(seen_letters),
@@ -157,7 +156,7 @@ def vasify(net: CounterNet) -> VasResult:
         initial=frozenset({VAS_STATE}),
         accepting=frozenset({VAS_STATE}),
         transitions=tuple(transitions),
-    ))
+    )
     start = next(iter(net.initial))
     patterns = {p: (kind, q) for q, ps in control.items() for kind, p in zip(("rest", "mid1", "mid2"), ps)}
     return VasResult(flat, zeros + control[start][0], patterns, tuple(triplets), net)
@@ -290,10 +289,10 @@ def verify_pipeline(net: CounterNet, max_len: int = 6) -> PipelineReport:
     onto the original's, bijectively.  containment_ok: for every short
     word of the relabelled net, all three phase prefixes of its protocol
     expansion are accepted by the flattened net.  extra_members: words
-    of at most _FLAT_LEN letters that the flattened net accepts and that
-    are not phase prefixes of protocol expansions; these are inherent to
-    the flattening and only reported.  gating: pattern and enabled-letter
-    discipline over the valuations check_gating reaches.
+    of at most min(_FLAT_LEN, 3 * max_len) letters that the flattened net
+    accepts and that are not phase prefixes of protocol expansions; these
+    are inherent to the flattening and only reported.  gating: pattern
+    and enabled-letter discipline over the valuations check_gating reaches.
     """
     labels = distinct_label(net)
     result = vasify(labels.net)
@@ -306,9 +305,10 @@ def verify_pipeline(net: CounterNet, max_len: int = 6) -> PipelineReport:
 
     failures: list[Word] = []
     # the phase prefixes are distinct (each spells its word and stop back),
-    # so counting them counts the distinct ones; only those a flat word of
-    # at most _FLAT_LEN letters can equal are kept
-    flat_len = _FLAT_LEN
+    # so counting them counts the distinct ones; only those of at most
+    # flat_len letters are kept, and a flat word that short is a phase prefix
+    # only of a word of at most max_len letters (one of n has 3n - 2 to 3n)
+    flat_len = min(_FLAT_LEN, 3 * max_len)
     expanded = 0
     short: set[Word] = {()}
     flat = FrontierGraph(result.net, result.initial)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from operator import index
 from typing import Callable, Collection, Optional, Sequence
 
-from .core import CounterNet, Transition, Vector, Word, _collected_order, _spell, validate
+from .core import CounterNet, Transition, Vector, Word, _collected_order, _spell
 
 SEGMENT_ALPHABET = frozenset({"a", "b", "c", "#"})
 
@@ -216,13 +216,12 @@ def partition_k_oracle_bruteforce(k: int, w: PartitionKWord) -> bool:
 
 def _net(name: str, initial: Sequence[str], accepting: Collection[str],
          transitions: Sequence[Transition]) -> CounterNet:
-    """The validated net of these transitions, its dimension, alphabet and
+    """The net of these transitions, its dimension, alphabet and
     state order taken from them, the order as a machine file without a
     states line collects it."""
     states = _collected_order(initial, transitions, accepting)
     alphabet = {t.letter for t in transitions}
-    return validate(CounterNet(name, len(transitions[0].effect), alphabet, states, initial, accepting,
-                               transitions))
+    return CounterNet(name, len(transitions[0].effect), alphabet, states, initial, accepting, transitions)
 
 
 def build_partition_net() -> CounterNet:

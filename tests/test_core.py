@@ -133,6 +133,24 @@ def test_validate_rejects_negative_dimension():
         validate(small_net(dimension=-1, transitions=()))
 
 
+def test_construction_refuses_an_ill_formed_net():
+    # built unchecked, this net would accept "a" in a state it does not declare
+    with pytest.raises(InvalidNetError, match="^ghost: accepting state 'q' not declared$"):
+        CounterNet("ghost", 1, {"a"}, ("p",), {"p"}, {"q"}, (Transition("p", "a", (0,), "q"),))
+
+
+def test_replace_refuses_an_ill_formed_net():
+    with pytest.raises(InvalidNetError, match="^partition: transition 0 effect length 2 != dimension 3$"):
+        replace(build_partition_net(), dimension=3)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("family", sorted(zoo.FAMILIES))
+def test_every_zoo_net_builds(family, k):
+    for net in zoo.FAMILIES[family](k).values():
+        assert validate(net) is net
+
+
 # --- basic observations -------------------------------------------------
 
 def test_partition_net_is_nondeterministic():

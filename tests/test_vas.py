@@ -20,7 +20,8 @@ from counternet.vas import (
     vasify,
     verify_pipeline,
 )
-from counternet.zoo import build_paired_dcn, build_partition_net, build_selector_dcn, build_selector_ncn
+from counternet.zoo import (
+    build_paired_dcn, build_partition_net, build_selector_dcn, build_selector_ncn, build_shared_budget)
 
 from randnets import random_dcn
 
@@ -458,6 +459,22 @@ def test_pipeline_counts_and_filters_as_the_set_of_every_phase_prefix(monkeypatc
         extras = sorted((w for w in flat_words if w not in every | {()}), key=lambda x: (len(x), x))
         assert rep.stats["expanded_prefixes"] == len(every)
         assert (rep.extra_count, rep.extra_members) == (len(extras), tuple(extras[:20]))
+
+
+@pytest.mark.parametrize("max_len", [0, 1, 2])
+@pytest.mark.parametrize("net", [build_paired_dcn(2), build_selector_dcn(2), build_shared_budget()[1]],
+                         ids=["paired_dcn_2", "selector_dcn_2", "fig1_b1"])
+def test_pipeline_extras_at_short_bounds_are_no_phase_prefixes(net, max_len):
+    # a phase prefix of a word of n letters has 3n - 2 to 3n letters, so the
+    # extras stop at 3 * max_len letters, where every phase prefix is expanded
+    rep = verify_pipeline(net, max_len=max_len)
+    labels = distinct_label(net)
+    prefixes = {triplet_transform(w, stop) for w in FrontierGraph(labels.net).words(3) if w
+                for stop in (1, 2, 3)}
+    assert not prefixes & set(rep.extra_members)
+    result = vasify(labels.net)
+    flat_words = FrontierGraph(result.net, result.initial).words(3 * max_len)
+    assert rep.extra_count == sum(1 for w in flat_words if w and w not in prefixes)
 
 
 def test_triplet_transform_makes_each_phase_letter_once():
