@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 Word = tuple[str, ...]
 Vector = tuple[int, ...]
 Frontier = dict[str, frozenset[Vector]]
-Row = tuple[str, Optional[Vector], Optional[Vector]]  # (target, effect, floor): see _run_row
+Row = tuple[str, Optional[Vector], Optional[Vector], Optional[Callable]]  # (target, effect, floor, translate): _run_row
 
 
 class InvalidNetError(ValueError):
@@ -47,6 +47,11 @@ _WORDS_BUDGET = 3 * 10**6
 _FRONTIERS_BUDGET = 10**6
 # the most nodes one accepts_naive call enumerates; past it, EnumerationCapError
 _NAIVE_NODES = 1_000_000
+# the widest row that gets generated code (_row_code); wider rows take
+# _image's map path.  Compiling one row shape takes time superlinear in its
+# dimension (CPython 3.11, x86-64: 0.07-0.9 ms at dimensions 1 to 64, 20 ms
+# at 1,024, 0.15 s at 4,096), and lift allows 10^6 effect entries
+_CODE_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -127,8 +132,9 @@ class CounterNet:
     def _run_rows(self) -> Callable[[str, int, str], tuple[Row, ...]]:
         """(letter, n, state) -> the rows (_run_row) that take a run of n
         copies of the letter in one jump from a state that enters self-loops
-        on it; the 4096 latest are kept, since building a row costs about as
-        much as a step."""
+        on it; the 4096 latest are kept, since a row costs at least as much
+        to build as a step, and a compile (_row_code) the first time the
+        process meets its shape."""
         @lru_cache(maxsize=4096)
         def rows(letter: str, n: int, state: str) -> tuple[Row, ...]:
             return tuple(_run_row(*entry, n - 1) for entry in self._loop_states[letter][state])
@@ -313,14 +319,15 @@ def _maximal(vectors: set[Vector]) -> frozenset[Vector]:
 def step_frontier(net: CounterNet, frontier: Frontier, letter: str) -> Frontier:
     """Image of a frontier under one letter, pruned back to antichains.
 
-    Every value of frontier must be a frozenset antichain, as those of
-    initial_frontier and of earlier steps are.  Each (state, transition)
-    image then does only what its effect needs: a zero effect reuses the
-    source set, a non-negative one translates every vector, and one with
-    a negative coordinate translates only the vectors at or above its
-    floor.  Translation keeps dominance and a subset of an antichain is
-    an antichain, so a target reached by one image takes it as is; only
-    targets where two or more images merge are filtered by _maximal.
+    Every value of frontier must be a frozenset antichain of non-negative
+    vectors, as those of initial_frontier and of earlier steps are.  Each
+    (state, transition) image then does only what its effect needs: a
+    zero effect reuses the source set, a non-negative one translates every
+    vector, and one with a negative coordinate translates only the vectors
+    at or above its floor.  Translation keeps dominance and a subset of an
+    antichain is an antichain, so a target reached by one image takes it
+    as is; only targets where two or more images merge are filtered by
+    _maximal.
 
     A letter no state reads (including letters outside the alphabet)
     produces an empty frontier at once.
@@ -332,14 +339,17 @@ def step_frontier(net: CounterNet, frontier: Frontier, letter: str) -> Frontier:
 
 
 def _image(frontier: Frontier, rows: dict[str, tuple[Row, ...]]) -> Frontier:
-    """The frontier the (target, effect, floor) rows of each state take
-    frontier to, as step_frontier describes: the only code that
-    translates the vectors of a frontier."""
+    """The frontier the rows (_run_row) of each state take frontier to, as
+    step_frontier describes: the only code that translates the vectors of
+    a frontier, through each row's generated translate or, on a row too
+    wide for one, a map over each vector."""
     out: Frontier = {}
     merged: dict[str, set[Vector]] = {}  # targets reached by two or more images
     for state, vectors in frontier.items():
-        for target, effect, floor in rows.get(state, ()):
-            if effect is None:
+        for target, effect, floor, translate in rows.get(state, ()):
+            if translate is not None:
+                image = translate(vectors)
+            elif effect is None:
                 image = vectors
             elif floor is None:
                 image = frozenset([tuple(map(add, v, effect)) for v in vectors])
@@ -359,18 +369,69 @@ def _image(frontier: Frontier, rows: dict[str, tuple[Row, ...]]) -> Frontier:
 
 
 def _run_row(target: str, effect: Vector, loop: Vector, more: int) -> Row:
-    """The (target, effect, floor) row of one transition followed by more
-    turns of the self-loop at its target: effect + more*loop, on the
-    vectors v with v + effect >= 0 and v + effect + more*loop >= 0.  The
-    effect is None when it is all zeros and there is no floor, the floor
-    None when it is all zeros; a zero effect with a floor stays a vector,
-    so that the floor still filters.  With more = 0, whatever the loop, it
-    is the transition's step row: the only code that encodes a row."""
+    """The (target, effect, floor, translate) row of one transition
+    followed by more turns of the self-loop at its target: effect +
+    more*loop, on the vectors v with v + effect >= 0 and v + effect +
+    more*loop >= 0.  The effect is None when it is all zeros and there is
+    no floor, the floor None when it is all zeros; a zero effect with a
+    floor stays a vector, so that the floor still filters.  translate does
+    the same map as generated code (_row_translate), or is None when the
+    row is the identity or has more than _CODE_DIM coordinates, and
+    _image then maps each vector itself.  With more = 0, whatever the
+    loop, it is the transition's step row: the only code that encodes a
+    row."""
     shift = tuple(e + more * f for e, f in zip(effect, loop))
     floor = tuple(max(0, more * max(0, -f) - e) for e, f in zip(effect, loop))
-    if any(floor):
-        return target, shift, floor
-    return target, shift if any(shift) else None, None
+    if not any(floor):
+        if not any(shift):
+            return target, None, None, None
+        floor = None
+    if len(shift) > _CODE_DIM:
+        return target, shift, floor, None
+    return target, shift, floor, _row_translate(shift, floor)
+
+
+@lru_cache(maxsize=1024)
+def _row_translate(shift: Vector, floor: Optional[Vector]) -> Callable[[frozenset[Vector]], frozenset[Vector]]:
+    """The translate of the rows with this shift and floor, made by the
+    code of their shape (_row_code) and shared, since nets repeat small
+    effects; the 1024 latest are kept."""
+    return _row_code(tuple(map(bool, shift)), tuple(map(bool, floor or ())))(shift, floor)
+
+
+@lru_cache(maxsize=1024)
+def _row_code(moves: tuple[bool, ...], tests: tuple[bool, ...]) -> Callable[..., Callable]:
+    """make(shift, floor), compiled once per row shape: moves[i] tells
+    whether coordinate i shifts, tests[i] whether it has a floor (tests is
+    empty when none has).  make returns the function that takes a
+    frozenset of non-negative vectors to the frozenset of v + shift over
+    those with v_i >= floor_i where tests[i].  Only the shape reaches the
+    source (_row_source), so run lengths and effects never cause a
+    compile; the 1024 latest shapes are kept."""
+    namespace = {"frozenset": frozenset}
+    exec(_row_source(moves, tests), namespace)
+    return namespace["make"]
+
+
+def _row_source(moves: tuple[bool, ...], tests: tuple[bool, ...]) -> str:
+    """The source of _row_code's make, which names nothing but its own
+    parameters and coordinates, e.g. for moves (False, True) and tests
+    (False, True):
+        def make(shift, floor):
+            (_, e1, ) = shift
+            (_, f1, ) = floor
+            return lambda vs: frozenset([(a0, a1 + e1, ) for (a0, a1, ) in vs if a1 >= f1])
+    """
+    coords = "".join(f"a{i}, " for i in range(len(moves)))
+    image = "".join(f"a{i} + e{i}, " if m else f"a{i}, " for i, m in enumerate(moves))
+    shifts = "".join(f"e{i}, " if m else "_, " for i, m in enumerate(moves))
+    floors = "".join(f"f{i}, " if t else "_, " for i, t in enumerate(tests))
+    where = " and ".join(f"a{i} >= f{i}" for i, t in enumerate(tests) if t)
+    return "".join([
+        "def make(shift, floor):\n",
+        f"    ({shifts}) = shift\n" if any(moves) else "",
+        f"    ({floors}) = floor\n" if tests else "",
+        f"    return lambda vs: frozenset([({image}) for ({coords}) in vs{' if ' if where else ''}{where}])\n"])
 
 
 def initial_frontier(net: CounterNet, initial: Optional[Sequence[int]] = None) -> Frontier:

@@ -1,5 +1,8 @@
+import io
 import itertools
 import random
+import re
+import tokenize
 from dataclasses import replace
 
 import pytest
@@ -490,7 +493,7 @@ def _entered(net, images):
     """Whether one of the rows is a jump (none of the net's own step rows)
     from a state that does not only loop: a row that leads elsewhere."""
     return any(all(rows is not r for r in net._step_rows.values())
-               and any(target != state for state, row in rows.items() for target, _, _ in row)
+               and any(target != state for state, row in rows.items() for target, *_ in row)
                for rows in images)
 
 
@@ -834,7 +837,11 @@ def _step_rows_by_hand(net):
 
 
 def _in_order(rows):
-    return [(letter, list(by_state.items())) for letter, by_state in rows.items()]
+    """The (target, effect, floor) of each row in order; the generated
+    translate, a function, is checked against the map path elsewhere
+    (test_generated_rows_match_the_map_path_on_random_nets)."""
+    return [(letter, [(state, [r[:3] for r in rs]) for state, rs in by_state.items()])
+            for letter, by_state in rows.items()]
 
 
 def test_step_rows_match_the_hand_written_rows_on_random_and_zoo_nets():
@@ -845,9 +852,116 @@ def test_step_rows_match_the_hand_written_rows_on_random_and_zoo_nets():
     for net in nets:
         assert _in_order(net._step_rows) == _in_order(_step_rows_by_hand(net)), net
         kinds.update((effect is None, floor is None) for by_state in net._step_rows.values()
-                     for rows in by_state.values() for _, effect, floor in rows)
+                     for rows in by_state.values() for _, effect, floor, _ in rows)
     # zero effects, non-negative ones and ones with a floor all occur
     assert kinds == {(True, True), (False, True), (False, False)}
+
+
+# --- generated translation rows ----------------------------------------
+
+def _row_kind(row):
+    _, effect, floor, _ = row
+    if effect is None:
+        return "identity"
+    if floor is None:
+        return "non-negative"
+    return "negative" if any(effect) else "zero with a floor"
+
+
+def _decisions(net, rng, runs):
+    """Frontiers after each letter of random words, and the verdicts of
+    accepts on words of the given run lengths."""
+    frontiers = []
+    for _ in range(4):
+        frontier = initial_frontier(net)
+        for x in rng.choices("xy", k=8):
+            frontier = step_frontier(net, frontier, x)
+            frontiers.append(frontier)
+    verdicts = [accepts(net, _spell((rng.choice("xy"), rng.randint(*runs)) for _ in range(rng.randint(1, 4))))
+                for _ in range(6)]
+    return frontiers, verdicts
+
+
+def test_generated_rows_match_the_map_path_on_random_nets(monkeypatch, images):
+    rng = random.Random(3107)
+    code_dim = core_mod._CODE_DIM
+    # (net, run lengths): entering nets take their runs in jumps, and a
+    # short jump can leave a zero effect with a floor
+    cases = [(random_cn(rng, dim=dim, max_states=4), (1, 12)) for dim in (0, 1, 2, 3) for _ in range(30)]
+    cases += [(_entering_cn(rng, dim), runs) for dim in (0, 1, 2, 3) for runs in ((2, 3), (100, 999))
+              for _ in range(10)]
+    # x^2 after y takes p into q with a zero effect and a floor of 1
+    cases += [(CounterNet("zero", dim, {"x", "y"}, ("p", "q"), {"p"}, {"q"},
+                          (Transition("p", "y", (1,) * dim, "p"), Transition("p", "x", (-1,) * dim, "q"),
+                           Transition("q", "x", (1,) * dim, "q"))), (2, 3)) for dim in (1, 2, 3)]
+    cases += [(random_cn(rng, dim=dim, max_states=2, effect_range=(-1, 3)), (1, 12))
+              for dim in (code_dim, code_dim + 1) for _ in range(2)]
+    kinds, jumps = set(), 0
+    for net, runs in cases:
+        seed = rng.random()
+        decided = {}
+        # every row on the map path, every row generated, and the cutoff itself;
+        # a copy of the net (dataclasses.replace) builds its rows afresh
+        for cutoff in (0, 10**9, code_dim):
+            monkeypatch.setattr(core_mod, "_CODE_DIM", cutoff)
+            images.clear()
+            copy = replace(net)
+            decided[cutoff] = _decisions(copy, random.Random(seed), runs)
+            rows = [r for by_state in images for rs in by_state.values() for r in rs]
+            assert all((translate is None) == (effect is None or net.dimension > cutoff)
+                       for _, effect, _, translate in rows)
+            if cutoff:
+                kinds.update(map(_row_kind, rows))
+                jumps += sum(all(by_state is not step for step in copy._step_rows.values()) for by_state in images)
+        assert decided[0] == decided[10**9] == decided[code_dim], net
+    assert kinds == {"identity", "non-negative", "negative", "zero with a floor"}
+    assert jumps > 100
+
+
+def test_row_code_compiles_per_shape_not_per_run_length():
+    p = replace(build_partition_net())
+    core_mod._row_translate.cache_clear()
+    core_mod._row_code.cache_clear()
+    for n in range(2, 2001):
+        assert accepts(p, _spell([("a", n), ("#", 1), ("a", n + 1), ("#", 1), ("b", n), ("c", n + 1)]))
+        assert not accepts(p, _spell([("a", n), ("#", 1), ("a", n), ("#", 1), ("b", n), ("c", n + 1)]))
+    assert p._run_rows.cache_info().misses >= 1999 * 3  # a row per run length
+    # a compile per shape: a counter up (a), or down with a floor (b, c), for each of the two counters
+    assert core_mod._row_code.cache_info().misses == 4
+
+
+def test_no_name_reaches_the_generated_source(monkeypatch):
+    names = ('q"0', "q'1\\", "#q2", "q3\"\"\"")
+    letters = ("'", "\\", "#")
+    ts = [Transition(names[0], letters[0], (1, 0), names[0]),
+          Transition(names[0], letters[1], (-1, 2), names[1]),
+          Transition(names[1], letters[1], (0, -1), names[1]),
+          Transition(names[1], letters[2], (2, -1), names[2]),
+          Transition(names[2], letters[0], (-1, -1), names[3]),
+          Transition(names[3], letters[0], (-1, 1), names[3]),
+          Transition(names[3], letters[2], (0, 0), names[0])]
+    net = CounterNet("q'\"#", 2, frozenset(letters), names, frozenset(names[:1]), frozenset(names[2:]), tuple(ts))
+    sources = []
+    real = core_mod._row_source
+    monkeypatch.setattr(core_mod, "_row_source", lambda *shape: sources.append(real(*shape)) or sources[-1])
+    core_mod._row_translate.cache_clear()
+    core_mod._row_code.cache_clear()
+    for length in range(7):
+        for w in itertools.product(letters, repeat=length):
+            assert accepts(net, w) == accepts_naive(net, w), w
+    # q3 takes the last run in one jump: (n + 1, 1) - (1, 1) + m*(-1, 1) stays >= 0 iff m <= n
+    for n in (2, 5, 40):
+        for m, verdict in ((n, True), (n + 1, False)):
+            w = _spell([(letters[0], n), (letters[1], 1), (letters[2], 1), (letters[0], m + 1)])
+            assert accepts(net, w) == accepts_naive(net, w) == verdict, w
+    assert len(sources) >= 5
+    for source in sources:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            assert tok.type in (tokenize.NAME, tokenize.OP, tokenize.NEWLINE, tokenize.INDENT,
+                                tokenize.DEDENT, tokenize.ENDMARKER), (tok, source)
+            if tok.type == tokenize.NAME:
+                assert re.fullmatch(r"def|make|shift|floor|_|return|lambda|vs|frozenset|for|in|if|and|[aef]\d+",
+                                    tok.string), (tok, source)
 
 
 # --- run enumeration ----------------------------------------------------
