@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 Word = tuple[str, ...]
 Vector = tuple[int, ...]
 Frontier = dict[str, frozenset[Vector]]
-Row = tuple[str, Optional[Vector], Optional[Vector], Optional[Callable]]  # (target, effect, floor, translate): _run_row
+Row = tuple[str, Optional[Callable[[frozenset[Vector]], frozenset[Vector]]]]  # (target, translate): _run_row
 
 
 class InvalidNetError(ValueError):
@@ -47,10 +47,11 @@ _WORDS_BUDGET = 3 * 10**6
 _FRONTIERS_BUDGET = 10**6
 # the most nodes one accepts_naive call enumerates; past it, EnumerationCapError
 _NAIVE_NODES = 1_000_000
-# the widest row that gets generated code (_row_code); wider rows take
-# _image's map path.  Compiling one row shape takes time superlinear in its
-# dimension (CPython 3.11, x86-64: 0.07-0.9 ms at dimensions 1 to 64, 20 ms
-# at 1,024, 0.15 s at 4,096), and lift allows 10^6 effect entries
+# the widest row whose translate _row_translate makes as generated code
+# (_row_code); wider rows get a map over each vector.  Compiling one row
+# shape takes time superlinear in its dimension (CPython 3.11, x86-64:
+# 0.07-0.9 ms at dimensions 1 to 64, 20 ms at 1,024, 0.15 s at 4,096), and
+# lift allows 10^6 effect entries
 _CODE_DIM = 64
 
 
@@ -133,8 +134,8 @@ class CounterNet:
         """(letter, n, state) -> the rows (_run_row) that take a run of n
         copies of the letter in one jump from a state that enters self-loops
         on it; the 4096 latest are kept, since a row costs at least as much
-        to build as a step, and a compile (_row_code) the first time the
-        process meets its shape."""
+        to build as a step, and the first row of a shape the process meets
+        costs a compile (_row_translate)."""
         @lru_cache(maxsize=4096)
         def rows(letter: str, n: int, state: str) -> tuple[Row, ...]:
             return tuple(_run_row(*entry, n - 1) for entry in self._loop_states[letter][state])
@@ -340,21 +341,13 @@ def step_frontier(net: CounterNet, frontier: Frontier, letter: str) -> Frontier:
 
 def _image(frontier: Frontier, rows: dict[str, tuple[Row, ...]]) -> Frontier:
     """The frontier the rows (_run_row) of each state take frontier to, as
-    step_frontier describes: the only code that translates the vectors of
-    a frontier, through each row's generated translate or, on a row too
-    wide for one, a map over each vector."""
+    step_frontier describes: each row's translate (_row_translate) moves
+    the vectors, and a row with none keeps them."""
     out: Frontier = {}
     merged: dict[str, set[Vector]] = {}  # targets reached by two or more images
     for state, vectors in frontier.items():
-        for target, effect, floor, translate in rows.get(state, ()):
-            if translate is not None:
-                image = translate(vectors)
-            elif effect is None:
-                image = vectors
-            elif floor is None:
-                image = frozenset([tuple(map(add, v, effect)) for v in vectors])
-            else:
-                image = frozenset([tuple(map(add, v, effect)) for v in vectors if all(map(ge, v, floor))])
+        for target, translate in rows.get(state, ()):
+            image = vectors if translate is None else translate(vectors)
             if not image:
                 continue
             if target in merged:
@@ -369,34 +362,34 @@ def _image(frontier: Frontier, rows: dict[str, tuple[Row, ...]]) -> Frontier:
 
 
 def _run_row(target: str, effect: Vector, loop: Vector, more: int) -> Row:
-    """The (target, effect, floor, translate) row of one transition
-    followed by more turns of the self-loop at its target: effect +
-    more*loop, on the vectors v with v + effect >= 0 and v + effect +
-    more*loop >= 0.  The effect is None when it is all zeros and there is
-    no floor, the floor None when it is all zeros; a zero effect with a
-    floor stays a vector, so that the floor still filters.  translate does
-    the same map as generated code (_row_translate), or is None when the
-    row is the identity or has more than _CODE_DIM coordinates, and
-    _image then maps each vector itself.  With more = 0, whatever the
-    loop, it is the transition's step row: the only code that encodes a
-    row."""
+    """The (target, translate) row of one transition followed by more
+    turns of the self-loop at its target: translate (_row_translate) moves
+    by effect + more*loop the vectors v with v + effect >= 0 and v + effect
+    + more*loop >= 0, and is None when the row keeps every vector as it
+    is; a zero shift with a floor still gets one, so that the floor still
+    filters.  With more = 0, whatever the loop, it is the transition's
+    step row: the only code that encodes a row."""
     shift = tuple(e + more * f for e, f in zip(effect, loop))
     floor = tuple(max(0, more * max(0, -f) - e) for e, f in zip(effect, loop))
     if not any(floor):
         if not any(shift):
-            return target, None, None, None
+            return target, None
         floor = None
-    if len(shift) > _CODE_DIM:
-        return target, shift, floor, None
-    return target, shift, floor, _row_translate(shift, floor)
+    return target, _row_translate(shift, floor)
 
 
 @lru_cache(maxsize=1024)
 def _row_translate(shift: Vector, floor: Optional[Vector]) -> Callable[[frozenset[Vector]], frozenset[Vector]]:
-    """The translate of the rows with this shift and floor, made by the
-    code of their shape (_row_code) and shared, since nets repeat small
-    effects; the 1024 latest are kept."""
-    return _row_code(tuple(map(bool, shift)), tuple(map(bool, floor or ())))(shift, floor)
+    """The function that takes a frozenset of vectors to the frozenset of
+    v + shift over those with v_i >= floor_i wherever floor_i > 0 (floor
+    None: all of them): the only code that makes one.  Rows of at most
+    _CODE_DIM coordinates get the code of their shape (_row_code), wider
+    ones a map over each vector.  Rows with the same shift and floor share
+    it, since nets repeat small effects; the 1024 latest are kept."""
+    if len(shift) <= _CODE_DIM:
+        return _row_code(tuple(map(bool, shift)), tuple(map(bool, floor or ())))(shift, floor)
+    tested = [(i, f) for i, f in enumerate(floor or ()) if f]
+    return lambda vs: frozenset([tuple(map(add, v, shift)) for v in vs if all(v[i] >= f for i, f in tested)])
 
 
 @lru_cache(maxsize=1024)

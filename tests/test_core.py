@@ -4,6 +4,7 @@ import random
 import re
 import tokenize
 from dataclasses import replace
+from operator import add, ge
 
 import pytest
 from hypothesis import given, settings
@@ -836,12 +837,17 @@ def _step_rows_by_hand(net):
     return rows
 
 
-def _in_order(rows):
-    """The (target, effect, floor) of each row in order; the generated
-    translate, a function, is checked against the map path elsewhere
-    (test_generated_rows_match_the_map_path_on_random_nets)."""
-    return [(letter, [(state, [r[:3] for r in rs]) for state, rs in by_state.items()])
+def _targets(rows):
+    """The target of each row in order; what each row's translate does is
+    checked against the hand-written effect and floor on _probe's vectors."""
+    return [(letter, [(state, [r[0] for r in rs]) for state, rs in by_state.items()])
             for letter, by_state in rows.items()]
+
+
+def _probe(floor, dim):
+    """Vectors at each coordinate's floor (0 where it has none), one below
+    it where that is not negative, and one above it."""
+    return frozenset(itertools.product(*({max(0, f - 1), f, f + 1} for f in floor or (0,) * dim)))
 
 
 def test_step_rows_match_the_hand_written_rows_on_random_and_zoo_nets():
@@ -850,22 +856,50 @@ def test_step_rows_match_the_hand_written_rows_on_random_and_zoo_nets():
     nets += [net for k in (1, 2, 3) for family in zoo.FAMILIES.values() for net in family(k).values()]
     kinds = set()
     for net in nets:
-        assert _in_order(net._step_rows) == _in_order(_step_rows_by_hand(net)), net
-        kinds.update((effect is None, floor is None) for by_state in net._step_rows.values()
-                     for rows in by_state.values() for _, effect, floor, _ in rows)
+        by_hand = _step_rows_by_hand(net)
+        assert _targets(net._step_rows) == _targets(by_hand), net
+        for letter, by_state in by_hand.items():
+            for state, rows in by_state.items():
+                for (_, translate), (_, effect, floor) in zip(net._step_rows[letter][state], rows):
+                    assert (translate is None) == (effect is None), net
+                    if effect is not None:
+                        probe = _probe(floor, net.dimension)
+                        assert translate(probe) == {tuple(map(add, v, effect)) for v in probe
+                                                    if floor is None or all(map(ge, v, floor))}, (net, effect)
+                    kinds.add((effect is None, floor is None))
     # zero effects, non-negative ones and ones with a floor all occur
     assert kinds == {(True, True), (False, True), (False, False)}
 
 
 # --- generated translation rows ----------------------------------------
 
-def _row_kind(row):
-    _, effect, floor, _ = row
-    if effect is None:
+@pytest.fixture
+def cutoff(monkeypatch):
+    """Sets core._CODE_DIM, emptying core._row_translate each time and at
+    teardown, so that no translate made at one cutoff serves another or a
+    later test."""
+    def set_cutoff(value):
+        monkeypatch.setattr(core_mod, "_CODE_DIM", value)
+        core_mod._row_translate.cache_clear()
+    yield set_cutoff
+    core_mod._row_translate.cache_clear()
+
+
+def _generated(translate):
+    """Whether core._row_code made translate (its source is exec'd)."""
+    return translate.__code__.co_filename == "<string>"
+
+
+def _row_kind(translate, dim):
+    """What a row does, told from its translate: the zero vector survives
+    only a row with no floor, and a vector above every floor stays where
+    it is only under a zero shift."""
+    if translate is None:
         return "identity"
-    if floor is None:
+    if translate(frozenset({(0,) * dim})):
         return "non-negative"
-    return "negative" if any(effect) else "zero with a floor"
+    high = (10**9,) * dim
+    return "zero with a floor" if translate(frozenset({high})) == {high} else "negative"
 
 
 def _decisions(net, rng, runs):
@@ -882,7 +916,7 @@ def _decisions(net, rng, runs):
     return frontiers, verdicts
 
 
-def test_generated_rows_match_the_map_path_on_random_nets(monkeypatch, images):
+def test_generated_rows_match_the_map_path_on_random_nets(cutoff, images):
     rng = random.Random(3107)
     code_dim = core_mod._CODE_DIM
     # (net, run lengths): entering nets take their runs in jumps, and a
@@ -902,20 +936,29 @@ def test_generated_rows_match_the_map_path_on_random_nets(monkeypatch, images):
         decided = {}
         # every row on the map path, every row generated, and the cutoff itself;
         # a copy of the net (dataclasses.replace) builds its rows afresh
-        for cutoff in (0, 10**9, code_dim):
-            monkeypatch.setattr(core_mod, "_CODE_DIM", cutoff)
+        for value in (0, 10**9, code_dim):
+            cutoff(value)
             images.clear()
             copy = replace(net)
-            decided[cutoff] = _decisions(copy, random.Random(seed), runs)
-            rows = [r for by_state in images for rs in by_state.values() for r in rs]
-            assert all((translate is None) == (effect is None or net.dimension > cutoff)
-                       for _, effect, _, translate in rows)
-            if cutoff:
-                kinds.update(map(_row_kind, rows))
+            decided[value] = _decisions(copy, random.Random(seed), runs)
+            translates = [translate for by_state in images for rs in by_state.values() for _, translate in rs]
+            assert all(_generated(t) == (net.dimension <= value) for t in translates if t is not None)
+            if value:
+                kinds.update(_row_kind(t, net.dimension) for t in translates)
                 jumps += sum(all(by_state is not step for step in copy._step_rows.values()) for by_state in images)
         assert decided[0] == decided[10**9] == decided[code_dim], net
     assert kinds == {"identity", "non-negative", "negative", "zero with a floor"}
     assert jumps > 100
+
+
+def test_map_path_tests_only_the_coordinates_with_a_floor(cutoff):
+    """A row of effect (-1, 1) has a floor on its first coordinate alone,
+    so both kinds of translate move (3, -1): such a frontier is outside
+    what step_frontier is given, but the two answer alike on it."""
+    for value in (0, 64):
+        cutoff(value)
+        net = CounterNet("neg", 2, {"x"}, ("q", "r"), {"q"}, {"r"}, (Transition("q", "x", (-1, 1), "r"),))
+        assert step_frontier(net, {"q": frozenset({(3, -1)})}, "x") == {"r": frozenset({(2, 0)})}
 
 
 def test_row_code_compiles_per_shape_not_per_run_length():
