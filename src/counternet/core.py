@@ -271,12 +271,19 @@ def is_valid_n_run(net: CounterNet, run: Run, initial: Sequence[int]) -> bool:
 def _maximal(vectors: set[Vector]) -> frozenset[Vector]:
     """The vectors of the set that no other one dominates.
 
-    In descending lexicographic order every earlier vector has a first
-    coordinate at least as large, and no later one can dominate a vector,
-    so a vector is dominated exactly when its tail (v[1], ...) is dominated
-    by the tail of a vector already kept.  The sweep after the sort depends
-    on the length of the vectors:
-      0 or 1  the first vector dominates the rest;
+    A vector that dominates another one has a larger coordinate sum, so a
+    set whose vectors share one sum is already an antichain.  By length:
+      0 or 1  the largest vector dominates the rest (max, no sort);
+      2, 3    a set of one sum is returned whole; the partition nets give
+              every letter one effect sum, so their merges all take this
+              path;
+      4+      no sum test: merges of the random product walks hold a few
+              vectors of mixed sums, and the test only added to them.
+    Otherwise, in descending lexicographic order every earlier vector has
+    a first coordinate at least as large, and no later one can dominate a
+    vector, so a vector is dominated exactly when its tail (v[1], ...) is
+    dominated by the tail of a vector already kept.  The sweep after the
+    sort depends on the length of the vectors:
       2       keep v when v[1] beats the largest v[1] so far;
       3       the kept (y, z) tails form a staircase, y ascending and z
               descending; a candidate is dominated when the first tail
@@ -286,10 +293,12 @@ def _maximal(vectors: set[Vector]) -> frozenset[Vector]:
     """
     if len(vectors) <= 1:
         return frozenset(vectors)
-    order = sorted(vectors, reverse=True)
-    dim = len(order[0])
+    dim = len(next(iter(vectors)))
     if dim <= 1:
-        return frozenset(order[:1])
+        return frozenset([max(vectors)])
+    if dim <= 3 and len(set(map(sum, vectors))) == 1:
+        return frozenset(vectors)
+    order = sorted(vectors, reverse=True)
     if dim == 2:
         kept, best = [order[0]], order[0][1]
         for v in order:
@@ -327,8 +336,9 @@ def step_frontier(net: CounterNet, frontier: Frontier, letter: str) -> Frontier:
     vector, and one with a negative coordinate translates only the vectors
     at or above its floor.  Translation keeps dominance and a subset of an
     antichain is an antichain, so a target reached by one image takes it
-    as is; only targets where two or more images merge are filtered by
-    _maximal.
+    as is; only targets where two or more images merge go to _maximal,
+    which keeps a merge whose vectors share one coordinate sum whole and
+    filters the others.
 
     A letter no state reads (including letters outside the alphabet)
     produces an empty frontier at once.

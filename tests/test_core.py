@@ -238,7 +238,10 @@ def _maximal_all_pairs(vectors):
     return frozenset(v for v in vectors if not any(u != v and _dominates(u, v) for u in vectors))
 
 
-# lengths 0 to 5 reach every branch of the sweep; coordinates 0-4 make tails tie
+# lengths 0 to 5 reach the branch of every length; coordinates 0-4 make tails
+# tie and mix the sums, so most sets of two or more vectors of length 2 or 3
+# fail the one-sum test and reach the sort (one-sum sets are drawn below, and
+# the staircase's tie is pinned)
 @given(st.integers(0, 5).flatmap(
     lambda n: st.sets(st.tuples(*[st.integers(0, 4)] * n), max_size=30)))
 def test_maximal_is_an_antichain_dominating_its_input(vectors):
@@ -248,6 +251,47 @@ def test_maximal_is_an_antichain_dominating_its_input(vectors):
     for v in vectors:
         assert any(_dominates(k, v) for k in kept)
     assert kept == _maximal_all_pairs(vectors)
+
+
+def _compositions(n, total):
+    """Vectors of n non-negative coordinates that sum to total (the empty
+    vector when n is 0)."""
+    if n == 0:
+        return st.just(())
+    cuts = st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1).map(sorted)
+    return cuts.map(lambda c: tuple(b - a for a, b in zip([0, *c], [*c, total])))
+
+
+@st.composite
+def _one_sum_sets(draw, lengths=range(6)):
+    n, total = draw(st.sampled_from(lengths)), draw(st.integers(0, 12))
+    return draw(st.sets(_compositions(n, total), min_size=1, max_size=60))
+
+
+@given(_one_sum_sets())
+def test_maximal_keeps_a_set_of_one_coordinate_sum_whole(vectors):
+    assert _maximal(vectors) == _maximal_all_pairs(vectors) == vectors
+
+
+@given(st.data())
+def test_maximal_drops_what_a_vector_of_a_larger_sum_dominates(data):
+    """A one-sum set plus one vector above some of it: the sums mix, so
+    the one-sum test must not keep the set whole."""
+    vectors = data.draw(_one_sum_sets(lengths=range(1, 6)))
+    below = data.draw(st.sampled_from(sorted(vectors)))
+    bump = data.draw(st.tuples(*[st.integers(0, 3)] * len(below)).filter(any))
+    above = tuple(map(add, below, bump))
+    kept = _maximal(vectors | {above})
+    assert kept == _maximal_all_pairs(vectors | {above})
+    assert above in kept and below not in kept
+
+
+def test_maximal_replaces_staircase_tails_on_a_tie_in_length_3():
+    """Sorted, (4, 1, 2) adds the tail (1, 2) after (0, 3); (3, 1, 4) then
+    ties on y = 1 and replaces both tails with (1, 4), which drops
+    (2, 0, 1).  The sums (8, 7, 8, 3) differ, so the sweep runs."""
+    vectors = {(5, 0, 3), (4, 1, 2), (3, 1, 4), (2, 0, 1)}
+    assert _maximal(vectors) == _maximal_all_pairs(vectors) == {(5, 0, 3), (4, 1, 2), (3, 1, 4)}
 
 
 def test_step_frontier_matches_the_insert_fold_on_random_nets():
@@ -265,30 +309,36 @@ def test_step_frontier_matches_the_insert_fold_on_random_nets():
 
 
 def _wide_member_cases():
-    """Long member words of P (2 counters) and PkConj(3) (3 counters), whose
-    frontiers grow past a hundred vectors."""
+    """Long member words of P and PkConj(2) (2 counters) and PkConj(3) (3
+    counters), whose frontiers grow past a hundred vectors."""
     rng = random.Random(1)
     p_segments, pk_segments = (3, 5, 7, 9, 11, 13, 15, 17), (2, 3, 4, 5, 6)
-    p_split, pk_split = [0, 0], [0, 0, 0]
+    p_split, pk2_split, pk_split = [0, 0], [0, 0], [0, 0, 0]
     for m in p_segments:
         p_split[rng.randrange(2)] += m
+    for m in p_segments:
+        pk2_split[rng.randrange(2)] += m
     for m in pk_segments:
         pk_split[rng.randrange(3)] += m
     return [
         (build_partition_net(), render_segmented(SegmentedWord(p_segments, *p_split))),
+        (build_partition_k(2), render_partition_k(2, PartitionKWord(p_segments, tuple(pk2_split)))),
         (build_partition_k(3), render_partition_k(3, PartitionKWord(pk_segments, tuple(pk_split)))),
     ]
 
 
 def test_step_frontier_matches_the_insert_fold_on_wide_frontiers():
     """The wide frontiers are where the filter of merged images does its
-    real work."""
+    real work.  Each letter of these nets has one effect sum, so every
+    frontier has one coordinate sum and its merges take _maximal's
+    one-sum path."""
     for net, w in _wide_member_cases():
         ours = ref = initial_frontier(net)
         peak = 0
         for letter in w:
             ours, ref = step_frontier(net, ours, letter), _insert_fold(net, ref, letter)
             assert ours == ref
+            assert len({sum(v) for vs in ours.values() for v in vs}) == 1
             peak = max(peak, sum(len(vs) for vs in ours.values()))
         assert frontier_accepts(net, ours)
         assert peak > 100
