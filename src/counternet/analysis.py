@@ -779,7 +779,6 @@ def compare_nets_walk(a: CounterNet, b: CounterNet, max_len: int) -> ComparisonR
     seen = {(0, 0)}
     queue = [(0, 0, None, None)]
     checked = depth = 0
-    node_cap = _WALK_NODES
     while queue:
         if ga.held + (gb.held if gb is not ga else 0) > _WALK_BUDGET:
             return ComparisonReport("exhausted", None, None, checked)
@@ -787,7 +786,7 @@ def compare_nets_walk(a: CounterNet, b: CounterNet, max_len: int) -> ComparisonR
         for node in queue:
             ia, ib, _, _ = node
             checked += 1
-            if checked > node_cap:
+            if checked > _WALK_NODES:
                 return ComparisonReport("exhausted", None, None, checked)
             la, lb = ga.accepting[ia], gb.accepting[ib]
             if la != lb:

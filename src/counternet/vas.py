@@ -216,12 +216,12 @@ def check_gating(result: VasResult) -> tuple[list[GatingViolation], int, bool]:
     _GATING_NODES valuations.  Returns (violations, nodes visited, walk
     exhausted before caps).
 
-    What a node's control tuple val[k:] decides is judged once per tuple:
-    the transitions its control coordinates allow, its pattern and that
-    pattern's expected letters, and whether the allowed letters are
-    exactly those.  A node keeps the allowed transitions its original
-    coordinates fire; flat letters are distinct, so their letters are
-    the enabled ones.
+    A node's verdict is its control tuple val[k:]'s, judged once per
+    tuple: whether its pattern exists and the letters its control
+    coordinates allow are exactly that pattern's expected ones.  vasify
+    gives phase-1 and phase-2 letters no original effect, so away from
+    mid2 every allowed letter fires.  A node keeps the allowed
+    transitions its original coordinates fire.
     """
     k = result.source.dimension
     by_control: dict[Vector, tuple[list[Transition], Optional[tuple[str, str]], Optional[set[str]], bool]] = {}
@@ -230,7 +230,6 @@ def check_gating(result: VasResult) -> tuple[list[GatingViolation], int, bool]:
     violations: list[GatingViolation] = []
     visited = 0
     complete = True
-    node_cap = _GATING_NODES
     for _ in range(_GATING_DEPTH):
         if not frontier:
             break
@@ -245,19 +244,15 @@ def check_gating(result: VasResult) -> tuple[list[GatingViolation], int, bool]:
                 by_control[control] = (allowed, pattern, expected, {t.letter for t in allowed} == expected)
             allowed, pattern, expected, exact = by_control[control]
             moves = [t for t in allowed if all(v + e >= 0 for v, e in zip(val[:k], t.effect))]
-            enabled = {t.letter for t in moves}
+            if not exact:
+                violations.append(GatingViolation(val, pattern, {t.letter for t in moves}, expected))
             if pattern is None:
-                violations.append(GatingViolation(val, None, enabled, None))
                 continue
-            # phases 1 and 2 touch no original coordinate, so away from
-            # mid2 the enabled letters must be the expected ones exactly
-            if not exact or (pattern[0] != "mid2" and enabled != expected):
-                violations.append(GatingViolation(val, pattern, enabled, expected))
             for t in moves:
                 succ = tuple(map(add, val, t.effect))
                 if succ not in seen:
                     seen.add(succ)
-                    if len(seen) > node_cap:
+                    if len(seen) > _GATING_NODES:
                         complete = False
                     else:
                         next_frontier.append(succ)

@@ -254,21 +254,25 @@ def test_zeroed_phase_two_breaks_gating():
     assert off, "expected an unclassifiable valuation"
 
 
-def _check_gating_every_transition(result, max_depth=12, node_cap=20000):
+def _every_transition_walk(result, max_depth=12, node_cap=20000):
     """check_gating testing every transition of the flat net at every node:
-    the reference the indexed walk is checked against."""
+    the reference the indexed walk is checked against.  Returns its
+    (violations, visited, complete) and the valuations it visited, in
+    order."""
     k = result.source.dimension
     seen = {result.initial}
     frontier = [result.initial]
     violations = []
     visited = 0
     complete = True
+    vals = []
     for _ in range(max_depth):
         if not frontier:
             break
         next_frontier = []
         for val in frontier:
             visited += 1
+            vals.append(val)
             pattern = classify_control(result, val)
             enabled = enabled_letters(result, val)
             if pattern is None:
@@ -298,6 +302,21 @@ def _check_gating_every_transition(result, max_depth=12, node_cap=20000):
         frontier = next_frontier
     if frontier:
         complete = False
+    return (violations, visited, complete), vals
+
+
+def _check_gating_every_transition(result, max_depth=12, node_cap=20000):
+    return _every_transition_walk(result, max_depth, node_cap)[0]
+
+
+def _tuple_verdict_reference(result, max_depth=12, node_cap=20000):
+    """The reference's answer, once it is checked to flag a visited
+    valuation exactly when its control tuple val[k:] is the control tuple
+    of some violation."""
+    (violations, visited, complete), vals = _every_transition_walk(result, max_depth, node_cap)
+    k = result.source.dimension
+    bad = {v.valuation[k:] for v in violations}
+    assert [val for val in vals if val[k:] in bad] == [v.valuation for v in violations]
     return violations, visited, complete
 
 
@@ -315,7 +334,7 @@ def test_gating_matches_the_every_transition_walk(monkeypatch):
             monkeypatch.setattr(vas_mod, "_GATING_DEPTH", depth)
             monkeypatch.setattr(vas_mod, "_GATING_NODES", cap)
             got = check_gating(result)
-            assert got == _check_gating_every_transition(result, depth, cap)
+            assert got == _tuple_verdict_reference(result, depth, cap)
             outcomes.add(got[2])
     assert outcomes == {True, False}
     # L1..L3.dcn and H1..H3 at the real limits, each flattened as it is and
@@ -330,8 +349,26 @@ def test_gating_matches_the_every_transition_walk(monkeypatch):
                                          for phase in ("_1", "_2", "_3") for coord in (0, k, k + 1, k + 2)]
             for case, breaks in cases:
                 got = check_gating(case)
-                assert got == _check_gating_every_transition(case)
+                assert got == _tuple_verdict_reference(case)
                 assert bool(got[0]) == breaks
+
+
+def test_gating_matches_the_every_transition_walk_on_zeroed_random_flattenings():
+    # each random flattening as built and with each coordinate of each
+    # phase's letters zeroed in turn: the indexed walk gives the reference's
+    # answer, and the reference's verdict is a function of the control tuple
+    rng = random.Random(34)
+    broken = cases = 0
+    for _ in range(200):
+        result = vasify(distinct_label(random_dcn(rng, dim=rng.randint(0, 3))).net)
+        width = result.net.dimension
+        for case in [result] + [_zeroed(result, phase, coord)
+                                for phase in ("_1", "_2", "_3") for coord in range(width)]:
+            got = check_gating(case)
+            assert got == _tuple_verdict_reference(case)
+            broken += bool(got[0])
+            cases += 1
+    assert 0 < broken < cases
 
 
 def test_gating_walk_stops_at_its_node_cap(monkeypatch):
